@@ -93,8 +93,10 @@ let journal_enabled_ns =
 
 (* --- always-on attribution budget on fused lstm.
 
-   The per-group wall-time attribution piggybacks on clock reads the
-   tuner already makes, so the only toggleable cost of leaving the
+   The engine arms the native lane: with the JIT off every group runs
+   per node and no group tuner journals anything.  The per-group
+   wall-time attribution piggybacks on clock reads the tuner already
+   makes, so the only toggleable cost of leaving the
    journal on is its record calls.  An on-vs-off wall-clock A/B cannot
    certify a 2% budget here — run-to-run drift on a shared box is +/-5%
    — so the overhead is computed from two quantities that ARE stable:
@@ -111,8 +113,8 @@ let () =
   let eng =
     Engine.prepare ~parallel:false ~domains:config.Config.domains
       ~loop_grain:config.Config.loop_grain
-      ~kernel_grain:config.Config.kernel_grain ~cache:false fg
-      ~inputs:(Engine.input_shapes args)
+      ~kernel_grain:config.Config.kernel_grain ~cache:false ~jit:Jit.On
+      ~jit_dir:config.Config.jit_dir fg ~inputs:(Engine.input_shapes args)
   in
   let runs = 40 in
   Journal.enable ();

@@ -227,11 +227,9 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       s.Scheduler.parallel_loops_run s.Scheduler.reduction_loops_run
       s.Scheduler.batched_loops;
     Printf.printf
-      "jit        : %s — %d groups armed (%d with a C kernel), %d native \
-       runs (%d on the C lane), %d fallbacks\n"
+      "jit        : %s — %d groups armed, %d native runs, %d fallbacks\n"
       (Jit.mode_to_string config.Config.jit)
-      s.Scheduler.jit_groups s.Scheduler.cjit_groups s.Scheduler.jit_runs
-      s.Scheduler.cjit_runs s.Scheduler.jit_fallbacks;
+      s.Scheduler.jit_groups s.Scheduler.jit_runs s.Scheduler.jit_fallbacks;
     Printf.printf
       "domains    : %d lanes, %d dispatches, %d steals, %d inline, %d \
        sequential (grain=%d nested=%d disabled=%d)\n"
@@ -591,11 +589,16 @@ let profile_cmd =
         | Ok session ->
             let m1 = Metrics.snapshot () in
             let stages = stage_windows m0 m1 in
-            let rows = Session.attribution session in
+            let rows =
+              List.concat_map
+                (fun (bucket, engine, rows) ->
+                  List.map (fun r -> (bucket, engine, r)) rows)
+                (Session.attribution session)
+            in
             Session.close session;
             let total_attr =
               List.fold_left
-                (fun acc r -> acc +. r.Scheduler.at_time_s)
+                (fun acc (_, _, r) -> acc +. r.Scheduler.at_time_s)
                 0. rows
             in
             if json then begin
@@ -610,9 +613,12 @@ let profile_cmd =
                       ("mean_us", Json.Num (Metrics.mean h));
                     ] )
               in
-              let row_json (r : Scheduler.attribution_row) =
+              let row_json (bucket, engine, (r : Scheduler.attribution_row))
+                  =
                 Json.Obj
                   [
+                    ("bucket", Json.Num (float_of_int bucket));
+                    ("engine", Json.Num (float_of_int engine));
                     ("id", Json.Num (float_of_int r.Scheduler.at_id));
                     ( "kind",
                       Json.Str
@@ -646,11 +652,13 @@ let profile_cmd =
                     (Metrics.percentile h 0.99) h.Metrics.h_count)
                 stages;
               print_newline ();
-              Printf.printf "%-11s %-9s %8s %10s %9s %6s\n" "site" "arm"
-                "members" "time_ms" "launches" "share";
+              Printf.printf "%-6s %-7s %-11s %-9s %8s %10s %9s %6s\n" "bucket"
+                "engine" "site" "arm" "members" "time_ms" "launches" "share";
               List.iter
-                (fun (r : Scheduler.attribution_row) ->
-                  Printf.printf "%-11s %-9s %8d %10.2f %9d %5.1f%%\n"
+                (fun (bucket, engine, (r : Scheduler.attribution_row)) ->
+                  Printf.printf "%-6d %-7s %-11s %-9s %8d %10.2f %9d %5.1f%%\n"
+                    bucket
+                    (Printf.sprintf "e%d" engine)
                     (Printf.sprintf "%s#%d"
                        (match r.Scheduler.at_kind with
                        | `Group -> "group"
@@ -706,16 +714,25 @@ let why_cmd =
               (fun e -> print_endline (Journal.entry_to_text e))
               entries;
             print_newline ();
-            Printf.printf "current winners (by accumulated wall time):\n";
+            Printf.printf
+              "current winners (by accumulated wall time), per bucket \
+               engine:\n";
             List.iter
-              (fun (r : Scheduler.attribution_row) ->
-                Printf.printf
-                  "  %s#%d -> %s (%d launches, %.2f ms total)\n"
-                  (match r.Scheduler.at_kind with
-                  | `Group -> "group"
-                  | `Loop -> "loop")
-                  r.Scheduler.at_id r.Scheduler.at_arm r.Scheduler.at_launches
-                  (1e3 *. r.Scheduler.at_time_s))
+              (fun (bucket, engine, rows) ->
+                if rows <> [] then begin
+                  Printf.printf "  bucket %d (engine e%d):\n" bucket engine;
+                  List.iter
+                    (fun (r : Scheduler.attribution_row) ->
+                      Printf.printf
+                        "    %s#%d -> %s (%d launches, %.2f ms total)\n"
+                        (match r.Scheduler.at_kind with
+                        | `Group -> "group"
+                        | `Loop -> "loop")
+                        r.Scheduler.at_id r.Scheduler.at_arm
+                        r.Scheduler.at_launches
+                        (1e3 *. r.Scheduler.at_time_s))
+                    rows
+                end)
               (Session.attribution session);
             Session.close session;
             `Ok ())

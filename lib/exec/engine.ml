@@ -226,4 +226,5 @@ let run_tensors t tensors =
 let output_shapes t = Scheduler.output_shapes t.e_prepared
 let stats t = Scheduler.stats t.e_prepared
 let attribution t = Scheduler.attribution t.e_prepared
+let id t = Scheduler.engine_id t.e_prepared
 let graph t = t.e_graph

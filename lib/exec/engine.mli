@@ -46,12 +46,12 @@ val prepare :
     profile, the parallel/domains/grain configuration, the input shape
     signature, and the graph's printed form: a second [prepare] of the
     same program with the same shapes returns the already-lowered engine
-    (slot frames, fused-kernel closures, buffer pool) without recompiling.
+    (slot frames, native kernels, buffer pool) without recompiling.
     [cache] defaults to the process-wide setting ({!set_cache_default},
     [true] initially); pass [~cache:false] to bypass for one call.
     [jit] (default: the process-wide {!set_jit_default} setting,
     initially [Off]) arms fused groups with native code via
-    {!Functs_jit.Jit}; [jit_dir] is the artifact-cache directory
+    {!Functs_jit.Jit} — with it off, every group runs per node; [jit_dir] is the artifact-cache directory
     ([""] resolves to a temp-dir default).  Both participate in the
     compile-cache key.
     Capacity is {!set_cache_capacity} (default 32) entries, evicted LRU;
@@ -79,6 +79,10 @@ val stats : t -> Scheduler.stats
 val attribution : t -> Scheduler.attribution_row list
 (** Per-group / per-loop wall-time attribution of this engine's runs
     (see {!Scheduler.attribution}), hottest first. *)
+
+val id : t -> int
+(** Process-unique engine id; journal records this engine makes carry
+    it ({!Functs_obs.Journal.entry}[.j_engine]). *)
 
 val graph : t -> Graph.t
 

@@ -2,10 +2,12 @@
 
     The scheduler walks blocks like the reference interpreter, but:
 
-    - fusion groups with a compiled kernel ({!Kernel_compile}) execute as
-      one kernel at the group's last member, writing into pool buffers;
-      groups the compiler rejected — or that fail at runtime — fall back
-      to per-node execution, permanently for that group;
+    - fusion groups with a native kernel ({!Functs_jit.Jit}) execute as
+      one launch at the group's last member, writing into pool buffers,
+      whenever a per-group auto-tuner measures the launch faster than
+      per-node execution (two arms, [c-jit] and [per_node], with
+      expiring pins); groups the emitter rejected run per node, and a
+      group whose launch fails validation replays per node, permanently;
     - value liveness ({!Buffer_plan.analyze}) retires buffers to the
       storage pool at their last use, and an [immut::assign] whose base
       dies with it is {e donated}: the region is written in place instead
@@ -55,8 +57,8 @@ val prepare :
     horizontal loop dispatches in parallel, [kernel_grain] the per-chunk
     element count for intra-kernel splits.  [jit] arms fused groups with
     native code compiled through {!Functs_jit.Jit} (artifacts cached
-    under [jit_dir], [""] = temp-dir default); arming failures fall back
-    to closure kernels and never raise. *)
+    under [jit_dir], [""] = temp-dir default); arming failures leave the
+    group per node and never raise. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
 (** Statically inferred shapes of the graph's return values (in return
@@ -71,8 +73,8 @@ val run : prepared -> Value.t list -> Value.t list
 
 type stats = {
   groups : int;  (** fusion groups in the plan *)
-  compiled : int;  (** groups with a compiled kernel *)
-  kernel_runs : int;  (** compiled kernel invocations so far *)
+  compiled : int;  (** kernels armed natively *)
+  kernel_runs : int;  (** native kernel launches so far *)
   fallback_groups : int;  (** groups demoted to per-node at runtime *)
   pool_fresh : int;
   pool_reused : int;
@@ -80,17 +82,15 @@ type stats = {
   parallel_loops_run : int;  (** batched loop executions (incl. reductions) *)
   reduction_loops_run : int;  (** batched executions of Reduction loops *)
   batched_loops : int;  (** loops with an iteration-batching plan *)
-  jit_groups : int;  (** groups currently armed with a native launch fn *)
-  jit_runs : int;  (** native kernel launches so far *)
-  jit_fallbacks : int;  (** runtime demotions back to the closure arm *)
-  cjit_groups : int;  (** armed groups that also compiled a C-lane kernel *)
-  cjit_runs : int;  (** the subset of [jit_runs] launched on the C lane *)
+  jit_groups : int;  (** dispatchable groups still on their native kernel *)
+  jit_runs : int;  (** native kernel launches so far (= [kernel_runs]) *)
+  jit_fallbacks : int;
+      (** launches that failed validation and replayed per node *)
   loops_pinned_inline : int;  (** batched loops the tuner pinned inline *)
   loops_pinned_dispatch : int;  (** … pinned to pool dispatch *)
   loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
   last_kernel_runs : int;  (** kernel launches in the most recent run *)
   last_jit_runs : int;  (** native launches in the most recent run *)
-  last_cjit_runs : int;  (** C-lane launches in the most recent run *)
   last_parallel_loops : int;  (** batched loops in the most recent run *)
   last_reduction_loops : int;  (** reduction loops in the most recent run *)
   pool_lanes : int;  (** worker lanes in the shared domain pool *)
@@ -117,13 +117,17 @@ type stats = {
 
 val stats : prepared -> stats
 
+val engine_id : prepared -> int
+(** Process-unique id of this engine; its tuner and demotion journal
+    records carry it. *)
+
 type attribution_row = {
   at_id : int;  (** fusion-group gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];
   at_arm : string;
       (** current dispatch arm:
-          [c-jit]/[ocaml-jit]/[closure]/[per_node]/[sampling] for
-          groups, [inline]/[dispatch]/[seq]/[sampling] for loops *)
+          [c-jit]/[per_node]/[sampling] for groups,
+          [inline]/[dispatch]/[seq]/[sampling] for loops *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_time_s : float;  (** accumulated launch wall time *)
   at_launches : int;

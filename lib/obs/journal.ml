@@ -4,7 +4,6 @@ type kind =
   | Tuner_flip
   | Tuner_expire
   | Jit_demote
-  | Jit_promote
   | Cache_evict
   | Deadline_degrade
 
@@ -14,7 +13,6 @@ let kind_name = function
   | Tuner_flip -> "tuner.flip"
   | Tuner_expire -> "tuner.expire"
   | Jit_demote -> "jit.demote"
-  | Jit_promote -> "jit.promote"
   | Cache_evict -> "cache.evict"
   | Deadline_degrade -> "deadline.degrade"
 
@@ -23,6 +21,7 @@ type entry = {
   j_kind : kind;
   j_site : string;
   j_id : int;
+  j_engine : int;
   j_arm : string;
   j_detail : string;
   j_value : float;
@@ -34,6 +33,7 @@ let nil_entry =
     j_kind = Tuner_sample;
     j_site = "";
     j_id = -1;
+    j_engine = -1;
     j_arm = "";
     j_detail = "";
     j_value = 0.;
@@ -61,7 +61,8 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let record ?(id = -1) ?(arm = "") ?(detail = "") ?(value = 0.) kind site =
+let record ?(id = -1) ?(engine = -1) ?(arm = "") ?(detail = "") ?(value = 0.)
+    kind site =
   if !on then begin
     let e =
       {
@@ -69,6 +70,7 @@ let record ?(id = -1) ?(arm = "") ?(detail = "") ?(value = 0.) kind site =
         j_kind = kind;
         j_site = site;
         j_id = id;
+        j_engine = engine;
         j_arm = arm;
         j_detail = detail;
         j_value = value;
@@ -109,6 +111,7 @@ let entry_to_text e =
   Buffer.add_string b
     (Printf.sprintf "%10.0fus %-17s %s" e.j_ts (kind_name e.j_kind) e.j_site);
   if e.j_id >= 0 then Buffer.add_string b (Printf.sprintf "#%d" e.j_id);
+  if e.j_engine >= 0 then Buffer.add_string b (Printf.sprintf "@e%d" e.j_engine);
   if e.j_arm <> "" then Buffer.add_string b (Printf.sprintf " arm=%s" e.j_arm);
   if e.j_value <> 0. then
     Buffer.add_string b (Printf.sprintf " value=%g" e.j_value);

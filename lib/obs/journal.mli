@@ -4,7 +4,7 @@
 
     Producers are the scheduler's auto-tuner (sample results, pins,
     flips, pin expiries), the JIT (per-group demotion with the failure
-    reason, re-promotion), the engine and JIT artifact caches
+    reason), the engine and JIT artifact caches
     (evictions), and the serve layer (deadline degradations).  Decisions
     are rare events, so records take a mutex; the {e disabled} record is
     one [bool ref] read with no allocation, and call sites guard
@@ -20,8 +20,7 @@ type kind =
   | Tuner_pin  (** a group/loop pinned its winning arm *)
   | Tuner_flip  (** a re-pin chose a different arm than the incumbent *)
   | Tuner_expire  (** a pin expired; back to sampling *)
-  | Jit_demote  (** a group fell back off its native kernel *)
-  | Jit_promote  (** a demoted group re-qualified its native kernel *)
+  | Jit_demote  (** a group's native launch failed; per node for good *)
   | Cache_evict  (** compile-cache or JIT artifact-cache eviction *)
   | Deadline_degrade  (** a serve request missed its deadline *)
 
@@ -32,9 +31,14 @@ type entry = {
   j_kind : kind;
   j_site : string;  (** e.g. ["scheduler.group"], ["serve"] *)
   j_id : int;  (** group/loop/ticket id; -1 when not applicable *)
-  j_arm : string;  (** arm or mode name, e.g. ["jit"], ["closure"] *)
+  j_engine : int;
+      (** id of the engine that made the decision (printed [@e<N>]);
+          -1 when not applicable *)
+  j_arm : string;  (** arm or mode name, e.g. ["c-jit"], ["per_node"] *)
   j_detail : string;
-  j_value : float;  (** sample time, eviction count… 0 if unused *)
+  j_value : float;
+      (** tuner samples and pin-window bests in µs, deadline misses in
+          µs; 0 if unused *)
 }
 
 val enabled : unit -> bool
@@ -42,7 +46,14 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val record :
-  ?id:int -> ?arm:string -> ?detail:string -> ?value:float -> kind -> string -> unit
+  ?id:int ->
+  ?engine:int ->
+  ?arm:string ->
+  ?detail:string ->
+  ?value:float ->
+  kind ->
+  string ->
+  unit
 (** [record kind site] appends an entry (no-op when disabled). *)
 
 val entries : unit -> entry list

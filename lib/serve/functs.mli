@@ -87,7 +87,12 @@ module Engine = Functs_exec.Engine
 module Scheduler = Functs_exec.Scheduler
 module Pool = Functs_exec.Pool
 module Buffer_plan = Functs_exec.Buffer_plan
-module Kernel_compile = Functs_exec.Kernel_compile
+module Kernel_compile : sig
+  val compile :
+    Codegen.kernel -> shapes:Shape_infer.result -> (unit, string) result
+  (** Whether the native emitter accepts a fused kernel at these shapes
+      ([Error reason] otherwise); groups it rejects run per node. *)
+end
 module Equiv = Functs_exec.Equiv
 module Fastops = Functs_exec.Fastops
 module Jit = Functs_jit.Jit

@@ -151,9 +151,11 @@ type t = {
   mutable s_stats : stats;
   mutable s_dispatchers : unit Domain.t list;
   mutable s_engine : Engine.t option;
-      (* most recently acquired engine, for attribution readout — the
-         shape-keyed cache may hand different engines per signature;
-         profiling reads whichever served last *)
+      (* most recently acquired engine — the shape-keyed cache may hand
+         different engines per signature *)
+  mutable s_engines : (int * Engine.t) list;
+      (* every engine acquired so far with its bucket size (0: ad-hoc
+         shapes), in acquisition order; under [s_lock] *)
 }
 
 let locked t f =
@@ -263,7 +265,7 @@ let expire t tk =
 
 (* --- engines --- *)
 
-let prepare_engine t ?cache graph ~inputs =
+let prepare_engine t ?cache ~bucket graph ~inputs =
   let cfg = t.s_config in
   let eng =
     Engine.prepare ~profile:t.s_profile ~parallel:true
@@ -273,22 +275,29 @@ let prepare_engine t ?cache graph ~inputs =
       ~jit:cfg.Config.jit ~jit_dir:cfg.Config.jit_dir graph ~inputs
   in
   t.s_engine <- Some eng;
+  locked t (fun () ->
+      if not (List.exists (fun (_, e) -> e == eng) t.s_engines) then
+        t.s_engines <- t.s_engines @ [ (bucket, eng) ]);
   eng
 
 (* Requests outside the native signature (ad-hoc shapes) always go
    through the shared shape-keyed cache at bucket 1. *)
 let engine_for t args =
-  prepare_engine t t.s_graph ~inputs:(Engine.input_shapes args)
+  prepare_engine t ~bucket:0 t.s_graph ~inputs:(Engine.input_shapes args)
 
 let bucket_engine t sh bk =
-  if sh.sh_cached then prepare_engine t bk.bk_graph ~inputs:bk.bk_inputs
+  if sh.sh_cached then
+    prepare_engine t ~bucket:bk.bk_size bk.bk_graph ~inputs:bk.bk_inputs
   else
     match Hashtbl.find_opt sh.sh_local bk.bk_size with
     | Some eng ->
         t.s_engine <- Some eng;
         eng
     | None ->
-        let eng = prepare_engine t ~cache:false bk.bk_graph ~inputs:bk.bk_inputs in
+        let eng =
+          prepare_engine t ~cache:false ~bucket:bk.bk_size bk.bk_graph
+            ~inputs:bk.bk_inputs
+        in
         Hashtbl.add sh.sh_local bk.bk_size eng;
         eng
 
@@ -700,6 +709,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
         s_stats = zero_stats;
         s_dispatchers = [];
         s_engine = None;
+        s_engines = [];
       }
     in
     (* compile once, now: the session's native shapes go warm before the
@@ -886,6 +896,8 @@ let close t =
 let stats t = locked t (fun () -> t.s_stats)
 
 let attribution t =
-  match t.s_engine with None -> [] | Some eng -> Engine.attribution eng
+  List.map
+    (fun (bucket, eng) -> (bucket, Engine.id eng, Engine.attribution eng))
+    (locked t (fun () -> t.s_engines))
 
 let engine_stats t = Option.map Engine.stats t.s_engine

@@ -184,10 +184,14 @@ val stats : t -> stats
 (** Every submitted ticket ends in exactly one of [completed] (possibly
     with an error outcome) or [cancelled]. *)
 
-val attribution : t -> Functs_exec.Scheduler.attribution_row list
-(** Per-group / per-loop wall-time attribution of the engine that served
-    most recently (hottest first; empty before any engine acquisition).
-    Backs [functs profile]. *)
+val attribution :
+  t -> (int * int * Functs_exec.Scheduler.attribution_row list) list
+(** Per-group / per-loop wall-time attribution (hottest first) of every
+    engine this session has acquired, as [(bucket size, engine id,
+    rows)] in acquisition order (bucket size 0: an ad-hoc-shape
+    engine).  Each bucket runs its own engine with its own tuners, so
+    winners are per engine; journal records carry the same engine id.
+    Backs [functs why] and [functs profile]. *)
 
 val engine_stats : t -> Functs_exec.Scheduler.stats option
 (** Scheduler stats of the most recently acquired engine. *)

@@ -46,6 +46,54 @@ let agrees g args_fn =
   && ok (Engine.run engp (args_fn ()))
   && ok (Engine.run engp (args_fn ()))
 
+(* One artifact directory for every native-lane engine of this suite
+   (cleaned at exit), so a property run pays one cc per program. *)
+let jit_dir =
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "functs-exec-jit-%d" (Unix.getpid ()))
+  in
+  at_exit (fun () ->
+      match Sys.readdir d with
+      | files ->
+          Array.iter
+            (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
+            files;
+          (try Unix.rmdir d with _ -> ())
+      | exception _ -> ());
+  d
+
+let native_engine ?(domains = 2) fg args =
+  Engine.prepare ~parallel:true ~domains ~cache:false
+    ~jit:Functs_jit.Jit.On ~jit_dir fg ~inputs:(Engine.input_shapes args)
+
+(* Bitwise, except that vectorised transcendentals (libmvec, <= 4 ulp of
+   scalar libm) may miss by far less than the 1e-4 gate above. *)
+let native_equal expected got =
+  List.length expected = List.length got
+  && List.for_all2
+       (fun e g ->
+         match (e, g) with
+         | Value.Tensor te, Value.Tensor tg ->
+             T.to_flat_array te = T.to_flat_array tg
+             || T.allclose ~atol:1e-12 ~rtol:1e-9 te tg
+         | _ -> Value.equal ~atol:1e-4 e g)
+       expected got
+
+(* Native launches seen by the random-program leg below. *)
+let native_runs = ref 0
+
+let agrees_native g args_fn =
+  let expected = Eval.run g (args_fn ()) in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline fg);
+  let eng = native_engine fg (args_fn ()) in
+  let ok = native_equal expected (Engine.run eng (args_fn ())) in
+  let ok = ok && native_equal expected (Engine.run eng (args_fn ())) in
+  native_runs := !native_runs + (Engine.stats eng).Scheduler.jit_runs;
+  ok
+
 (* --- units --- *)
 
 let test_pool_reuse () =
@@ -618,8 +666,9 @@ let test_workloads_equivalent () =
     (Equiv.check_all ())
 
 let test_kernels_actually_compile () =
-  (* The harness only proves agreement; this pins that the compiled-kernel
-     path really runs on a fusion-rich workload. *)
+  (* The harness only proves agreement; this pins that the native kernel
+     path really runs on a fusion-rich workload (with the JIT off every
+     group runs per node, so there is no kernel to run). *)
   let w =
     match Functs_workloads.Registry.find "attention" with
     | Some w -> w
@@ -630,11 +679,14 @@ let test_kernels_actually_compile () =
   let g = Functs_workloads.Workload.graph w ~batch ~seq in
   ignore (Passes.tensorssa_pipeline g);
   let args = w.Functs_workloads.Workload.inputs ~batch ~seq in
-  let eng = Engine.prepare g ~inputs:(Engine.input_shapes args) in
+  let eng = native_engine g args in
   ignore (Engine.run eng args);
   let s = Engine.stats eng in
-  check "some groups compiled" true (s.Scheduler.compiled > 0);
-  check "compiled kernels executed" true (s.Scheduler.kernel_runs > 0)
+  if Functs_jit.Jit.c_toolchain_available () then begin
+    check "some groups armed natively" true (s.Scheduler.compiled > 0);
+    check "native kernels executed" true (s.Scheduler.kernel_runs > 0)
+  end
+  else check_int "no C compiler: nothing armed" 0 s.Scheduler.compiled
 
 (* --- properties --- *)
 
@@ -654,6 +706,22 @@ let prop_engine_matches_interp_straightline =
     (fun p ->
       let g = Lower.program p in
       agrees g (fresh_args 7))
+
+(* The native lane on random programs.  Each program is one cc compile
+   (0.5-1 s at -O3 with two target clones on a 2-core x86 host), so the
+   count keeps the leg near 15 s, and a fixed seed keeps it
+   reproducible. *)
+let prop_native_matches_interp =
+  QCheck2.Test.make
+    ~name:"native lane matches the interpreter on random programs"
+    ~count:12 ~print:Generators.print_program Generators.gen_program
+    (fun p ->
+      let g = Lower.program p in
+      agrees_native g (fresh_args 11))
+
+let test_native_ran () =
+  if Functs_jit.Jit.c_toolchain_available () then
+    check "native kernels ran on random programs" true (!native_runs > 0)
 
 let () =
   Alcotest.run "exec"
@@ -712,5 +780,11 @@ let () =
           [
             prop_engine_matches_interp_straightline;
             prop_engine_matches_interp;
+          ]
+        @ [
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 20261017 |])
+              prop_native_matches_interp;
+            Alcotest.test_case "native lane ran" `Quick test_native_ran;
           ] );
     ]

@@ -1,17 +1,30 @@
 (* The native JIT backend: differential equivalence of every registered
-   workload under FUNCTS_JIT=on against the reference interpreter,
-   graceful per-group fallback when the toolchain or the artifact
-   directory is unusable, and the on-disk artifact cache (warm loads
-   compile nothing; stale-version artifacts are evicted).
+   workload under FUNCTS_JIT=on and, run repeatedly through the tuner's
+   arms, under FUNCTS_JIT=auto against the reference interpreter, a
+   bitwise edge table for the float operations whose NaN and signed-zero
+   rules C does not share with OCaml, graceful per-group fallback when
+   the toolchain is missing, fails to compile, or the artifact directory
+   is unusable, the on-disk
+   artifact cache (warm loads compile nothing; stale and retired-lane
+   artifacts are evicted), and the tuner's journal (units, engine tags).
 
-   Every test degrades to a meaningful assertion when the host has no
-   native toolchain: the differential legs then prove the fallback
-   ladder (identical outputs, zero armed groups, fallback ticks). *)
+   Every test degrades to a meaningful assertion when the host has no C
+   compiler: the differential legs then prove the fallback ladder
+   (identical outputs, zero armed groups, fallback ticks). *)
 
 open Functs
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+let rm_rf d =
+  match Sys.readdir d with
+  | files ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
+        files;
+      (try Unix.rmdir d with _ -> ())
+  | exception _ -> ()
 
 (* A scratch artifact directory per run: tests must exercise cold
    compiles, and a developer's real cache must not absorb them. *)
@@ -21,30 +34,18 @@ let jit_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "functs-jit-test-%d" (Unix.getpid ()))
   in
-  at_exit (fun () ->
-      match Sys.readdir d with
-      | files ->
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
-            files;
-          (try Unix.rmdir d with _ -> ())
-      | exception _ -> ());
+  at_exit (fun () -> rm_rf d);
   d
 
 let counter name =
   let c = Metrics.counter name in
   fun () -> Metrics.value c
 
-let hits = counter "jit.cache.hit"
-let misses = counter "jit.cache.miss"
-let compiles = counter "jit.compiles"
-let evicted = counter "jit.cache.evicted"
-let fallbacks = counter "jit.cache.fallback"
-let c_hits = counter "jit.c.hit"
-let c_misses = counter "jit.c.miss"
-let c_compiles = counter "jit.c.compiles"
-let c_evicted = counter "jit.c.evicted"
-let c_fallbacks = counter "jit.c.fallback"
+let hits = counter "jit.c.hit"
+let misses = counter "jit.c.miss"
+let compiles = counter "jit.c.compiles"
+let evicted = counter "jit.c.evicted"
+let fallbacks = counter "jit.c.fallback"
 
 let flat (v : Value.t) =
   match v with
@@ -55,12 +56,16 @@ let flat (v : Value.t) =
       Some (List.rev !out)
   | _ -> None
 
+let bitwise expected got =
+  List.length expected = List.length got
+  && List.for_all2 (fun e g -> flat e <> None && flat e = flat g) expected got
+
 (* Bitwise when both sides are tensors (the emitter reproduces the
-   closure kernels' operation order exactly) — except that the C lane's
-   vectorised transcendentals go through glibc's libmvec, whose kernels
-   are specified to <= 4 ulp of scalar libm, so a bitwise miss falls
-   back to a tolerance still nine orders tighter than the engine's 1e-4
-   epsilon gate.  Non-tensor values compare under that gate. *)
+   interpreter's operation order exactly) — except that vectorised
+   transcendentals go through glibc's libmvec, whose kernels are
+   specified to <= 4 ulp of scalar libm, so a bitwise miss falls back to
+   a tolerance still nine orders tighter than the engine's 1e-4 epsilon
+   gate.  Non-tensor values compare under that gate. *)
 let bitwise_or_epsilon expected got =
   List.length expected = List.length got
   && List.for_all2
@@ -92,6 +97,11 @@ let jit_engine ?(mode = Jit.On) ?(dir = jit_dir) fg args =
   Engine.prepare ~parallel:false ~cache:false ~jit:mode ~jit_dir:dir fg
     ~inputs:(Engine.input_shapes args)
 
+let kernels_of fg args =
+  let plan = Fusion.plan ~fence_loop_assigns:true Compiler_profile.tensorssa fg in
+  let shapes = Shape_infer.infer fg ~inputs:(Engine.input_shapes args) in
+  (Codegen.emit fg plan ~shapes, shapes)
+
 (* --- differential: every workload, FUNCTS_JIT=on vs interpreter --- *)
 
 let test_differential () =
@@ -111,11 +121,137 @@ let test_differential () =
       armed := !armed + s.Scheduler.jit_groups;
       native_runs := !native_runs + s.Scheduler.jit_runs)
     (Registry.all @ Registry.extensions);
-  if Jit.toolchain_available () then begin
+  if Jit.c_toolchain_available () then begin
     check "some groups were armed natively" true (!armed > 0);
     check "native kernels actually ran" true (!native_runs > 0)
   end
-  else check_int "no toolchain: nothing armed" 0 !armed
+  else check_int "no toolchain: nothing armed" 0 !armed;
+  (* tmax's groups need Float.max and a max reduction in C *)
+  let w = Result.get_ok (Functs.find_workload "tmax") in
+  let _, fg, args_fn = functionalized w in
+  let kernels, shapes = kernels_of fg (args_fn ()) in
+  List.iter
+    (fun (k : Codegen.kernel) ->
+      check
+        (Printf.sprintf "tmax %s is accepted by the emitter" k.Codegen.k_name)
+        true
+        (Result.is_ok (Kernel_compile.compile k ~shapes)))
+    kernels
+
+(* --- C lane differential: every workload under FUNCTS_JIT=auto,
+   repeated so the tuner samples both arms (the C launch and per-node)
+   and then runs its pinned winner; every run must match --- *)
+
+let test_c_differential () =
+  let runs = 8 in
+  let armed = ref 0 and native_runs = ref 0 and fb0 = fallbacks () in
+  List.iter
+    (fun (w : Workload.t) ->
+      let g, fg, args_fn = functionalized w in
+      let expected = Eval.run g (clone_args (args_fn ())) in
+      let eng = jit_engine ~mode:Jit.Auto fg (args_fn ()) in
+      for r = 1 to runs do
+        let got = Engine.run eng (args_fn ()) in
+        check
+          (Printf.sprintf "%s run %d: C-lane outputs equal the interpreter"
+             w.Workload.name r)
+          true
+          (bitwise_or_epsilon expected got)
+      done;
+      let s = Engine.stats eng in
+      check_int
+        (Printf.sprintf "%s: no C launch fell back" w.Workload.name)
+        0 s.Scheduler.jit_fallbacks;
+      armed := !armed + s.Scheduler.jit_groups;
+      native_runs := !native_runs + s.Scheduler.jit_runs)
+    (Registry.all @ Registry.extensions);
+  if Jit.c_toolchain_available () then begin
+    check "some groups compiled a C kernel" true (!armed > 0);
+    check "C kernels actually ran" true (!native_runs > 0)
+  end
+  else begin
+    check_int "no C compiler: no C kernels" 0 !armed;
+    check "no C compiler: C fallbacks were recorded" true (fallbacks () > fb0)
+  end
+
+(* --- bitwise edge table: Float.max/min/equal, `Max reductions and NaN
+   literals over NaN payloads, signed zeros and infinities --- *)
+
+let edge_values =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0x7ff8000000000123L;
+    Int64.float_of_bits 0xfff8000000000000L;
+    0.0;
+    -0.0;
+    Float.infinity;
+    Float.neg_infinity;
+    1.5;
+  |]
+
+let test_float_edges () =
+  let n = Array.length edge_values in
+  let lit = Int64.float_of_bits 0x7ff80000deadbeefL in
+  let b =
+    Builder.create "float_edges"
+      ~params:[ ("x", Dtype.Tensor); ("y", Dtype.Tensor) ]
+  in
+  let x = Builder.param b 0 and y = Builder.param b 1 in
+  let bin op u v = Builder.binary b op u v in
+  Builder.return b
+    [
+      bin Scalar.Max x y;
+      bin Scalar.Min x y;
+      bin Scalar.Eq x y;
+      Builder.relu b x;
+      bin Scalar.Max x (Builder.float b lit);
+      bin Scalar.Min (Builder.float b lit) y;
+      bin Scalar.Eq x (Builder.float b lit);
+      Builder.max_dim b x ~dim:1 ~keepdim:false;
+      Builder.max_dim b y ~dim:1 ~keepdim:false;
+    ];
+  let g = Builder.graph b in
+  (* every (x, y) pair: x varies along rows, y along columns *)
+  let grid f =
+    let t = Tensor.zeros [| n; n |] in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        Tensor.set t [| i; j |] (f i j)
+      done
+    done;
+    Value.Tensor t
+  in
+  let args () =
+    [ grid (fun i _ -> edge_values.(i)); grid (fun _ j -> edge_values.(j)) ]
+  in
+  let expected = Eval.run g (args ()) in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline fg);
+  let kernels, shapes = kernels_of fg (args ()) in
+  check "the table fuses into kernels" true (kernels <> []);
+  List.iter
+    (fun (k : Codegen.kernel) ->
+      match Kernel_compile.compile k ~shapes with
+      | Ok () -> ()
+      | Error reason ->
+          Alcotest.failf "emitter rejected %s: %s" k.Codegen.k_name reason)
+    kernels;
+  if Jit.c_toolchain_available () then begin
+    let eng = jit_engine fg (args ()) in
+    (* the tuner samples the native arm first *)
+    let got = Engine.run eng (args ()) in
+    let s = Engine.stats eng in
+    check_int "every kernel armed" (List.length kernels) s.Scheduler.compiled;
+    check "native kernels ran" true (s.Scheduler.jit_runs > 0);
+    check_int "no launch fell back" 0 s.Scheduler.jit_fallbacks;
+    List.iteri
+      (fun i (e, g) ->
+        check
+          (Printf.sprintf "output %d bitwise-equal to the interpreter" i)
+          true
+          (bitwise [ e ] [ g ]))
+      (List.combine expected got)
+  end
 
 (* --- forced fallback: missing toolchain --- *)
 
@@ -123,108 +259,109 @@ let test_fallback_missing_toolchain () =
   let w = Result.get_ok (Functs.find_workload "attention") in
   let g, fg, args_fn = functionalized w in
   let expected = Eval.run g (clone_args (args_fn ())) in
-  let fb0 = fallbacks () and co0 = compiles () and cco0 = c_compiles () in
+  let fb0 = fallbacks () and co0 = compiles () in
   Jit.clear_loaded ();
-  (* Both lanes must be down: a box with cc but no ocamlfind still arms
-     groups through the C lane, so "nothing armed" needs both gone. *)
-  Jit.set_compiler "functs-definitely-missing-compiler";
   Jit.set_c_compiler "functs-definitely-missing-cc";
   let got, stats =
     Fun.protect
       ~finally:(fun () ->
-        Jit.set_compiler "ocamlfind ocamlopt";
         Jit.set_c_compiler "cc";
         Jit.clear_loaded ())
       (fun () ->
-        let eng = jit_engine ~mode:Jit.Auto fg (args_fn ()) in
-        (Engine.run eng (args_fn ()), Engine.stats eng))
+        (* a fresh directory: a disk hit would need no compiler *)
+        let dir = jit_dir ^ "-nocc" in
+        Fun.protect
+          ~finally:(fun () -> rm_rf dir)
+          (fun () ->
+            let eng = jit_engine ~mode:Jit.Auto ~dir fg (args_fn ()) in
+            (Engine.run eng (args_fn ()), Engine.stats eng)))
   in
   check "outputs still equal the interpreter" true
     (bitwise_or_epsilon expected got);
   check_int "no group armed without a toolchain" 0 stats.Scheduler.jit_groups;
   check "every rejected group was recorded as a fallback" true
     (fallbacks () > fb0);
-  check_int "the missing compiler was never invoked" 0 (compiles () - co0);
-  check_int "the missing C compiler was never invoked" 0
-    (c_compiles () - cco0)
+  check_int "the missing compiler was never invoked" 0 (compiles () - co0)
 
-(* --- C lane differential: every workload, FUNCTS_JIT=c vs interpreter --- *)
-
-let test_c_differential () =
-  let c_armed = ref 0 and c_runs = ref 0 and cfb0 = c_fallbacks () in
-  List.iter
-    (fun (w : Workload.t) ->
-      let g, fg, args_fn = functionalized w in
-      let expected = Eval.run g (clone_args (args_fn ())) in
-      let eng = jit_engine ~mode:Jit.C fg (args_fn ()) in
-      let got = Engine.run eng (args_fn ()) in
-      check
-        (Printf.sprintf "%s: C-lane outputs equal the interpreter"
-           w.Workload.name)
-        true
-        (bitwise_or_epsilon expected got);
-      let s = Engine.stats eng in
-      c_armed := !c_armed + s.Scheduler.cjit_groups;
-      c_runs := !c_runs + s.Scheduler.cjit_runs)
-    (Registry.all @ Registry.extensions);
-  if Jit.c_toolchain_available () then begin
-    check "some groups compiled a C kernel" true (!c_armed > 0);
-    check "C kernels actually ran" true (!c_runs > 0)
-  end
-  else begin
-    check_int "no C compiler: no C kernels" 0 !c_armed;
-    check "no C compiler: C fallbacks were recorded" true
-      (c_fallbacks () > cfb0)
-  end
-
-(* --- forced C-compile failure: the group demotes to the OCaml lane --- *)
+(* --- forced C-compile failure: the compiler answers the probe but
+   rejects every unit; each group demotes to the per-node OCaml lane ---
+   *)
 
 let test_c_compile_failure_demotion () =
   let w = Result.get_ok (Functs.find_workload "attention") in
   let g, fg, args_fn = functionalized w in
   let expected = Eval.run g (clone_args (args_fn ())) in
-  let cfb0 = c_fallbacks () and cco0 = c_compiles () in
+  let fake = Filename.temp_file "functs-failing-cc" ".sh" in
+  let oc = open_out fake in
+  output_string oc "#!/bin/sh\ncase \"$1\" in --version) exit 0 ;; esac\nexit 1\n";
+  close_out oc;
+  Unix.chmod fake 0o755;
+  let fb0 = fallbacks () and m0 = misses () and co0 = compiles () in
   Jit.clear_loaded ();
-  Jit.set_c_compiler "functs-definitely-missing-cc";
+  Jit.set_c_compiler (Filename.quote fake);
   let got, stats =
     Fun.protect
       ~finally:(fun () ->
         Jit.set_c_compiler "cc";
-        Jit.clear_loaded ())
+        Jit.clear_loaded ();
+        try Sys.remove fake with _ -> ())
       (fun () ->
-        let eng = jit_engine ~mode:Jit.C fg (args_fn ()) in
-        (Engine.run eng (args_fn ()), Engine.stats eng))
+        check "the failing compiler passes the probe" true
+          (Jit.c_toolchain_available ());
+        (* a fresh directory: a disk hit would skip the compile *)
+        let dir = jit_dir ^ "-badcc" in
+        Fun.protect
+          ~finally:(fun () -> rm_rf dir)
+          (fun () ->
+            let eng = jit_engine ~mode:Jit.Auto ~dir fg (args_fn ()) in
+            (Engine.run eng (args_fn ()), Engine.stats eng)))
   in
   check "outputs still equal the interpreter" true
     (bitwise_or_epsilon expected got);
-  check_int "no C kernel without a C compiler" 0 stats.Scheduler.cjit_groups;
-  check "the C-lane failures were recorded" true (c_fallbacks () > cfb0);
-  check_int "the missing C compiler was never invoked" 0
-    (c_compiles () - cco0);
-  if Jit.toolchain_available () then
-    check "the OCaml lane still armed the groups" true
-      (stats.Scheduler.jit_groups > 0)
+  check_int "no C kernel from a failing compile" 0 stats.Scheduler.jit_groups;
+  check_int "no native launch ran" 0 stats.Scheduler.jit_runs;
+  check "the compiler was reached" true (misses () > m0);
+  check_int "no artifact was installed" 0 (compiles () - co0);
+  check "the C-lane failures were recorded" true (fallbacks () > fb0)
 
-(* --- C artifact cache: the second "process" is a disk hit --- *)
+(* --- C artifact cache: the .so artifacts on disk serve a second
+   "process" under FUNCTS_JIT=auto --- *)
 
 let test_c_artifact_disk_hit () =
   if not (Jit.c_toolchain_available ()) then ()
   else begin
-    let w = Result.get_ok (Functs.find_workload "nasrnn") in
-    let _, fg, args_fn = functionalized w in
-    let eng = jit_engine ~mode:Jit.C fg (args_fn ()) in
-    ignore (Engine.run eng (args_fn ()));
-    check "cold prepare compiled C kernels" true
-      ((Engine.stats eng).Scheduler.cjit_groups > 0);
-    Jit.clear_loaded ();
-    let h0 = c_hits () and m0 = c_misses () and co0 = c_compiles () in
-    let eng2 = jit_engine ~mode:Jit.C fg (args_fn ()) in
-    ignore (Engine.run eng2 (args_fn ()));
-    check "warm prepare armed the C kernels too" true
-      ((Engine.stats eng2).Scheduler.cjit_groups > 0);
-    check "the C artifact was found on disk" true (c_hits () > h0);
-    check_int "no C recompile on the warm path" 0 (c_compiles () - co0);
-    check_int "no C cache miss on the warm path" 0 (c_misses () - m0)
+    let dir = jit_dir ^ "-cdisk" in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let artifacts () =
+          (try Sys.readdir dir with _ -> [||])
+          |> Array.to_list
+          |> List.filter (fun f ->
+                 String.starts_with ~prefix:"functs_cjit_v" f
+                 && Filename.check_suffix f ".so")
+          |> List.sort compare
+        in
+        let w = Result.get_ok (Functs.find_workload "attention") in
+        let _, fg, args_fn = functionalized w in
+        Jit.clear_loaded ();
+        let eng = jit_engine ~mode:Jit.Auto ~dir fg (args_fn ()) in
+        ignore (Engine.run eng (args_fn ()));
+        check "cold prepare compiled C kernels" true
+          ((Engine.stats eng).Scheduler.jit_groups > 0);
+        let cold = artifacts () in
+        check "the cold prepare installed a C artifact" true (cold <> []);
+        Jit.clear_loaded ();
+        let h0 = hits () and m0 = misses () and co0 = compiles () in
+        let eng2 = jit_engine ~mode:Jit.Auto ~dir fg (args_fn ()) in
+        ignore (Engine.run eng2 (args_fn ()));
+        check "warm prepare armed the C kernels too" true
+          ((Engine.stats eng2).Scheduler.jit_groups > 0);
+        check "the C artifact was found on disk" true (hits () > h0);
+        check_int "no C recompile on the warm path" 0 (compiles () - co0);
+        check_int "no C cache miss on the warm path" 0 (misses () - m0);
+        check "the warm path left the artifact set unchanged" true
+          (artifacts () = cold))
   end
 
 (* --- forced fallback: unusable artifact directory --- *)
@@ -250,13 +387,13 @@ let test_fallback_bogus_dir () =
         (bitwise_or_epsilon expected got);
       check_int "no group armed in an unusable dir" 0
         (Engine.stats eng).Scheduler.jit_groups;
-      if Jit.toolchain_available () then
+      if Jit.c_toolchain_available () then
         check "fallbacks were recorded" true (fallbacks () > fb0))
 
 (* --- artifact cache: the second "process" is a disk hit --- *)
 
 let test_artifact_disk_hit () =
-  if not (Jit.toolchain_available ()) then () (* covered by fallback tests *)
+  if not (Jit.c_toolchain_available ()) then () (* covered by fallback tests *)
   else begin
     let w = Result.get_ok (Functs.find_workload "nasrnn") in
     let _, fg, args_fn = functionalized w in
@@ -277,44 +414,186 @@ let test_artifact_disk_hit () =
     check_int "no cache miss on the warm path" 0 (misses () - m0)
   end
 
-(* --- hygiene: stale-version artifacts are evicted on first use --- *)
+(* --- hygiene: stale artifacts are evicted on first use --- *)
+
+let with_stale_dir files f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "functs-jit-stale-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let paths =
+        List.map
+          (fun name ->
+            let path = Filename.concat dir name in
+            let oc = open_out path in
+            output_string oc "stale";
+            close_out oc;
+            path)
+          files
+      in
+      let ev0 = evicted () and j0 = Journal.recorded () in
+      Jit.clear_loaded ();
+      let w = Result.get_ok (Functs.find_workload "nasrnn") in
+      let _, fg, args_fn = functionalized w in
+      ignore (jit_engine ~dir fg (args_fn ()));
+      Jit.clear_loaded ();
+      let journaled =
+        List.filter
+          (fun (e : Journal.entry) -> e.Journal.j_kind = Journal.Cache_evict)
+          (List.filteri
+             (fun i _ -> i >= j0 - Journal.dropped ())
+             (Journal.entries ()))
+      in
+      f paths (evicted () - ev0) journaled)
 
 let test_stale_version_eviction () =
-  if not (Jit.toolchain_available ()) then ()
-  else begin
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "functs-jit-stale-%d" (Unix.getpid ()))
+  if Jit.c_toolchain_available () then
+    with_stale_dir [ "functs_cjit_v0_deadbeef.so" ] (fun paths n _ ->
+        List.iter
+          (fun p -> check "the stale artifact is gone" false (Sys.file_exists p))
+          paths;
+        check "the eviction was counted" true (n >= 1))
+
+(* Artifacts and locks of the retired OCaml-source lane are evicted,
+   counted and journaled like any other stale artifact. *)
+let test_retired_lane_eviction () =
+  if Jit.c_toolchain_available () then
+    let files =
+      [ "functs_jit_v2_deadbeef.cmxs"; "functs_jit_v2_deadbeef.cmxs.lock" ]
     in
-    Unix.mkdir dir 0o755;
-    Fun.protect
-      ~finally:(fun () ->
-        (try
-           Array.iter
-             (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-             (Sys.readdir dir)
-         with _ -> ());
-        try Unix.rmdir dir with _ -> ())
-      (fun () ->
-        let stale = Filename.concat dir "functs_jit_v0_deadbeef.cmxs" in
-        let oc = open_out stale in
-        output_string oc "not a plugin";
-        close_out oc;
-        let stale_c = Filename.concat dir "functs_cjit_v0_deadbeef.so" in
-        let oc = open_out stale_c in
-        output_string oc "not a shared object";
-        close_out oc;
-        let ev0 = evicted () and cev0 = c_evicted () in
-        Jit.clear_loaded ();
-        let w = Result.get_ok (Functs.find_workload "nasrnn") in
-        let _, fg, args_fn = functionalized w in
-        ignore (jit_engine ~dir fg (args_fn ()));
-        Jit.clear_loaded ();
-        check "the stale artifact is gone" false (Sys.file_exists stale);
-        check "the eviction was counted" true (evicted () > ev0);
-        check "the stale C artifact is gone" false (Sys.file_exists stale_c);
-        check "the C eviction was counted" true (c_evicted () > cev0))
+    with_stale_dir files (fun paths n journaled ->
+        List.iter
+          (fun p ->
+            check (Filename.basename p ^ " is gone") false (Sys.file_exists p))
+          paths;
+        check_int "each eviction was counted" 2 n;
+        List.iter
+          (fun f ->
+            check (f ^ " eviction was journaled") true
+              (List.exists
+                 (fun (e : Journal.entry) -> e.Journal.j_detail = f)
+                 journaled))
+          files)
+
+(* --- journal: expire values are µs like the samples --- *)
+
+let test_expire_units () =
+  if Jit.c_toolchain_available () then begin
+    let w = Result.get_ok (Functs.find_workload "tmax") in
+    let _, fg, args_fn = functionalized w in
+    let j0 = Journal.recorded () in
+    let eng = jit_engine fg (args_fn ()) in
+    (* 6 interleaved samples, a 16-launch pin, then the expiry *)
+    for _ = 1 to 30 do
+      ignore (Engine.run eng (args_fn ()))
+    done;
+    let mine =
+      List.filteri
+        (fun i _ -> i >= j0 - Journal.dropped ())
+        (Journal.entries ())
+      |> List.filter (fun (e : Journal.entry) ->
+             e.Journal.j_engine = Engine.id eng)
+    in
+    let values kind site id =
+      List.filter_map
+        (fun (e : Journal.entry) ->
+          if e.j_kind = kind && e.j_site = site && e.j_id = id then
+            Some e.j_value
+          else None)
+        mine
+    in
+    let expiries =
+      List.filter (fun (e : Journal.entry) -> e.j_kind = Journal.Tuner_expire) mine
+    in
+    check "some pin expired" true (expiries <> []);
+    List.iter
+      (fun (e : Journal.entry) ->
+        let samples = values Journal.Tuner_sample e.j_site e.j_id in
+        check "the site sampled" true (samples <> []);
+        let lo = List.fold_left Float.min infinity samples
+        and hi = List.fold_left Float.max 0. samples in
+        check
+          (Printf.sprintf "%s#%d expire %g within 1000x of samples [%g, %g]"
+             e.j_site e.j_id e.j_value lo hi)
+          true
+          (e.j_value >= lo /. 1000. && e.j_value <= hi *. 1000.))
+      expiries
+  end
+
+(* --- journal and attribution name their engine --- *)
+
+let test_bucket_engine_tags () =
+  if Jit.c_toolchain_available () then begin
+    let w = Result.get_ok (Functs.find_workload "lstm") in
+    let config =
+      {
+        Config.default with
+        Config.jit = Jit.On;
+        jit_dir;
+        batch_buckets = [ 1; 2 ];
+        domains = 1;
+      }
+    in
+    let j0 = Journal.recorded () in
+    let batch = w.Workload.default_batch and seq = w.Workload.default_seq in
+    match Functs.compile ~config ~batch ~seq w with
+    | Error e -> Alcotest.fail (Error.to_string e)
+    | Ok s ->
+        Fun.protect
+          ~finally:(fun () -> Session.close s)
+          (fun () ->
+            let input = Session.input (w.Workload.inputs ~batch ~seq) in
+            let await tk =
+              match Session.await tk with
+              | Ok _ -> ()
+              | Error e -> Alcotest.fail (Error.to_string e)
+            in
+            let submit () =
+              match Session.submit s input with
+              | Ok tk -> tk
+              | Error e -> Alcotest.fail (Error.to_string e)
+            in
+            for _ = 1 to 4 do
+              (* a pair fills bucket 2 ... *)
+              Session.pause s;
+              let a = submit () and b = submit () in
+              Session.resume s;
+              await a;
+              await b;
+              (* ... and a single runs at bucket 1 *)
+              await (submit ())
+            done;
+            let engines =
+              List.filter
+                (fun (_, _, rows) -> rows <> [])
+                (Session.attribution s)
+            in
+            let buckets = List.map (fun (b, _, _) -> b) engines in
+            check "both buckets report winners" true
+              (List.mem 1 buckets && List.mem 2 buckets);
+            let ids = List.sort_uniq compare (List.map (fun (_, e, _) -> e) engines) in
+            check_int "one engine per bucket" (List.length engines)
+              (List.length ids);
+            let tagged =
+              List.filteri
+                (fun i _ -> i >= j0 - Journal.dropped ())
+                (Journal.entries ())
+              |> List.filter_map (fun (e : Journal.entry) ->
+                     if e.j_site = "scheduler.group" then Some e.j_engine
+                     else None)
+              |> List.sort_uniq compare
+            in
+            List.iter
+              (fun id ->
+                check
+                  (Printf.sprintf "engine e%d journals under its own tag" id)
+                  true (List.mem id tagged))
+              ids)
   end
 
 let () =
@@ -326,17 +605,25 @@ let () =
             test_differential;
           Alcotest.test_case "C lane differential vs interpreter" `Slow
             test_c_differential;
-          Alcotest.test_case "fallback: missing toolchain" `Quick
-            test_fallback_missing_toolchain;
           Alcotest.test_case "C compile failure demotes to the OCaml lane"
             `Quick test_c_compile_failure_demotion;
           Alcotest.test_case "C artifact cache: warm disk hit" `Quick
             test_c_artifact_disk_hit;
+          Alcotest.test_case "float edge table bitwise vs interpreter" `Quick
+            test_float_edges;
+          Alcotest.test_case "fallback: missing toolchain" `Quick
+            test_fallback_missing_toolchain;
           Alcotest.test_case "fallback: unusable artifact dir" `Quick
             test_fallback_bogus_dir;
           Alcotest.test_case "artifact cache: warm disk hit" `Quick
             test_artifact_disk_hit;
           Alcotest.test_case "stale-version eviction" `Quick
             test_stale_version_eviction;
+          Alcotest.test_case "retired-lane artifacts evicted" `Quick
+            test_retired_lane_eviction;
+          Alcotest.test_case "journal: expire values in us" `Quick
+            test_expire_units;
+          Alcotest.test_case "journal: bucket engines tagged" `Quick
+            test_bucket_engine_tags;
         ] );
     ]
