@@ -27,6 +27,10 @@
  *
  * Handles are never dlclosed: loaded code stays valid for the process
  * lifetime.
+ *
+ * functs_cjit_host_avx2 answers whether this host runs AVX2 code (the
+ * same cpuid + OS-support test an ifunc resolver makes), so the JIT
+ * compiles each unit for the host with -mavx2 or with no ISA flag.
  */
 
 #include <caml/mlvalues.h>
@@ -44,6 +48,17 @@ CAMLprim value functs_cjit_error(value unit)
 {
   CAMLparam1(unit);
   CAMLreturn(caml_copy_string(cjit_err));
+}
+
+CAMLprim value functs_cjit_host_avx2(value unit)
+{
+  (void)unit;
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  __builtin_cpu_init();
+  return Val_bool(__builtin_cpu_supports("avx2"));
+#else
+  return Val_false;
+#endif
 }
 
 CAMLprim value functs_cjit_load(value vpath, value vheader, value vnfns)

@@ -5,10 +5,12 @@ module Tracer = Functs_obs.Tracer
 module Metrics = Functs_obs.Metrics
 
 (* Front end of the native JIT backend: emits every eligible kernel of an
-   engine preparation into one C unit ({!Jit_emit_c}), obtains the
-   compiled launch table through {!Jit_cache} (memory → disk → [cc -O3
-   -shared]), and exposes a per-group [run] that validates tensor
-   bindings before handing plain [float array]s to the native code.
+   engine preparation into one C unit ({!Jit_emit_c}) for the host's
+   ISA, split into one part per core, obtains the compiled launch table
+   through {!Jit_cache} (memory → disk → concurrent [cc -O3 -c] of the
+   parts and one link), and exposes a per-group [run] that validates
+   tensor bindings before handing plain [float array]s to the native
+   code.
 
    Nothing here raises across the engine API: [prepare_groups] turns
    every failure (no toolchain, emitter rejection, compile error,
@@ -74,65 +76,97 @@ let resolve_dir = function "" -> default_dir () | d -> d
 
 let check k ~shapes = Result.map ignore (Jit_emit_c.emit k ~shapes)
 
-let render_source emitted =
-  let body = Buffer.create 4096 in
-  List.iteri
-    (fun i (em : Jit_emit_c.emitted) ->
-      Buffer.add_string body
-        (Printf.sprintf
-           "/* %s : group %d */\n\
-            FUNCTS_CLONES\n\
-            long functs_cjit_k%d(double **bufs, const long *ints, long stmt, \
-            long lo, long hi)\n\
-            {\n\
-            %s}\n\n"
-           em.e_name em.e_group i em.e_fn))
-    emitted;
-  let body = Buffer.contents body in
+(* Shared by every part: the vector-libm declarations must precede the
+   kernels that call exp/log/tanh/pow. *)
+let prelude =
+  "#include <math.h>\n\n\
+   /* Vector transcendentals: these declarations let GCC compile\n\
+   \   exp/log/tanh/pow calls in vectorised loops down to glibc's\n\
+   \   libmvec kernels (_ZGVdN4v_exp &c., <= 4 ulp of scalar libm —\n\
+   \   far inside the engine's epsilon gate).  The JIT links\n\
+   \   -lmvec when available and retries with FUNCTS_NO_VECLIBM\n\
+   \   (bitwise scalar libm) when not.  sqrt and fabs stay bare:\n\
+   \   they vectorise to exact IEEE instructions anyway. */\n\
+   #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+   && !defined(FUNCTS_NO_VECLIBM)\n\
+   __attribute__((__simd__(\"notinbranch\"))) double exp(double);\n\
+   __attribute__((__simd__(\"notinbranch\"))) double log(double);\n\
+   __attribute__((__simd__(\"notinbranch\"))) double tanh(double);\n\
+   __attribute__((__simd__(\"notinbranch\"))) double pow(double, double);\n\
+   #endif\n\n"
+
+let signature i =
+  Printf.sprintf
+    "long functs_cjit_k%d(double **bufs, const long *ints, long stmt, long \
+     lo, long hi)"
+    i
+
+(* One unit in [k = min(nfns, cores)] parts that compile concurrently:
+   functions go longest first into the lightest part, and part 0 also
+   carries the handshake and the launch table, reaching the other
+   parts' functions through extern prototypes.  The kernels share no
+   static helpers, so the parts are independent.  The digest covers the
+   version, the target and the functions in table order — not [k], so
+   hosts with different core counts share artifacts. *)
+let render_source ~target emitted =
+  let fns =
+    Array.of_list
+      (List.mapi
+         (fun i (em : Jit_emit_c.emitted) ->
+           Printf.sprintf "/* %s : group %d */\n%s\n{\n%s}\n\n" em.e_name
+             em.e_group (signature i) em.e_fn)
+         emitted)
+  in
+  let n = Array.length fns in
   let digest =
     Digest.to_hex
-      (Digest.string (Printf.sprintf "cv%d\n%s" Jit_cache.version body))
+      (Digest.string
+         (Printf.sprintf "cv%d\n%s\n%s" Jit_cache.version
+            (Jit_cache.target_name target)
+            (String.concat "" (Array.to_list fns))))
   in
-  let table =
-    String.concat ", "
-      (List.mapi (fun i _ -> Printf.sprintf "functs_cjit_k%d" i) emitted)
+  let k = max 1 (min n (Domain.recommended_domain_count ())) in
+  let load = Array.make k 0 and members = Array.make k [] in
+  List.init n Fun.id
+  |> List.stable_sort (fun a b ->
+         compare (String.length fns.(b)) (String.length fns.(a)))
+  |> List.iter (fun i ->
+         let p = ref 0 in
+         Array.iteri (fun q l -> if l < load.(!p) then p := q) load;
+         load.(!p) <- load.(!p) + String.length fns.(i);
+         members.(!p) <- i :: members.(!p));
+  let part p =
+    let own = List.sort compare members.(p) in
+    let b = Buffer.create 4096 in
+    Buffer.add_string b
+      (Printf.sprintf
+         "/* generated by functs cjit · codegen v%d · %s · digest %s · part \
+          %d of %d */\n"
+         Jit_cache.version
+         (Jit_cache.target_name target)
+         digest p k);
+    Buffer.add_string b prelude;
+    List.iter (fun i -> Buffer.add_string b fns.(i)) own;
+    if p = 0 then begin
+      for i = 0 to n - 1 do
+        if not (List.mem i own) then
+          Buffer.add_string b (Printf.sprintf "extern %s;\n" (signature i))
+      done;
+      Buffer.add_string b
+        (Printf.sprintf
+           "const char functs_cjit_header[] = %S;\n\
+            const long functs_cjit_nfns = %d;\n\
+            typedef long (*functs_cjit_fn)(double **, const long *, long, \
+            long, long);\n\
+            functs_cjit_fn const functs_cjit_table[] = { %s };\n"
+           (Jit_cache.header ~target digest)
+           n
+           (String.concat ", "
+              (List.init n (Printf.sprintf "functs_cjit_k%d"))))
+    end;
+    Buffer.contents b
   in
-  let source =
-    Printf.sprintf
-      "/* generated by functs cjit · codegen v%d · digest %s */\n\
-       #include <math.h>\n\n\
-       #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)\n\
-       #define FUNCTS_CLONES __attribute__((target_clones(\"avx2\", \
-       \"default\")))\n\
-       #else\n\
-       #define FUNCTS_CLONES\n\
-       #endif\n\n\
-       /* Vector transcendentals: these declarations let GCC compile\n\
-       \   exp/log/tanh/pow calls in vectorised loops down to glibc's\n\
-       \   libmvec kernels (_ZGVdN4v_exp &c., <= 4 ulp of scalar libm —\n\
-       \   far inside the engine's epsilon gate).  The JIT links\n\
-       \   -lmvec when available and retries with FUNCTS_NO_VECLIBM\n\
-       \   (bitwise scalar libm) when not.  sqrt and fabs stay bare:\n\
-       \   they vectorise to exact IEEE instructions anyway. */\n\
-       #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
-       && !defined(FUNCTS_NO_VECLIBM)\n\
-       __attribute__((__simd__(\"notinbranch\"))) double exp(double);\n\
-       __attribute__((__simd__(\"notinbranch\"))) double log(double);\n\
-       __attribute__((__simd__(\"notinbranch\"))) double tanh(double);\n\
-       __attribute__((__simd__(\"notinbranch\"))) double pow(double, \
-       double);\n\
-       #endif\n\n\
-       %s\
-       const char functs_cjit_header[] = %S;\n\
-       const long functs_cjit_nfns = %d;\n\
-       typedef long (*functs_cjit_fn)(double **, const long *, long, long, \
-       long);\n\
-       functs_cjit_fn const functs_cjit_table[] = { %s };\n"
-      Jit_cache.version digest body
-      (Jit_cache.header digest)
-      (List.length emitted) table
-  in
-  (digest, source)
+  (digest, List.init k part)
 
 let make_entry (em : Jit_emit_c.emitted) fn =
   let local (s : Jit_emit_c.esite) =
@@ -184,10 +218,11 @@ let prepare_groups ~mode ~dir ~kernels ~shapes =
       | [] -> []
       | _ -> (
           let n = List.length emitted in
-          let digest, source = render_source emitted in
+          let target = Jit_cache.host_target in
+          let digest, parts = render_source ~target emitted in
           match
-            Jit_cache.get_or_build ~dir:(resolve_dir dir) ~digest ~source
-              ~nfns:n
+            Jit_cache.get_or_build ~dir:(resolve_dir dir) ~target ~digest
+              ~parts ~nfns:n
           with
           | Error _ ->
               Metrics.incr ~by:n fallback_c;

@@ -41,6 +41,15 @@ val resolve_dir : string -> string
 val check : Codegen.kernel -> shapes:Shape_infer.result -> (unit, string) result
 (** Whether the emitter accepts [k] at these shapes, or why not. *)
 
+val render_source :
+  target:Jit_cache.target ->
+  Jit_emit_c.emitted list ->
+  string * string list
+(** [(digest, parts)] of the C unit holding [emitted] in table order,
+    compiled for [target]: [min (nfns, Domain.recommended_domain_count
+    ())] parts, the handshake and launch table in part 0.  The digest
+    covers the version, the target and the kernel bodies. *)
+
 type entry
 (** One JIT-armed group: its launch function plus per-engine scratch. *)
 

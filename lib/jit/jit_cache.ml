@@ -6,19 +6,21 @@ module Metrics = Functs_obs.Metrics
    One [.so] holds every kernel of one engine preparation; the file name
    carries the codegen [version] stamp and the MD5 digest of the
    generated source, so a warm process (or a second process) loads the
-   artifact instead of recompiling — the digest covers baked shapes,
-   statement structure and the emitter version, which is exactly the
-   compile-cache key material.  Artifacts are compiled by [cc] from
-   {!Jit_emit_c} output and loaded with dlopen through the
-   [cjit_stubs.c] host stubs.
+   artifact instead of recompiling — the digest covers the compile
+   target, baked shapes, statement structure and the emitter version,
+   which is exactly the compile-cache key material.  Artifacts are
+   compiled by [cc] from {!Jit_emit_c} output — the unit's parts
+   concurrently, one [cc -c] each, then one link — and loaded with
+   dlopen through the [cjit_stubs.c] host stubs.
 
    Hygiene: artifacts of other codegen versions (and the [.cmxs]
    artifacts of the retired OCaml-source lane) are evicted the first
-   time a directory is used; concurrent same-digest compiles are
-   serialized by a [.lock] file (O_CREAT|O_EXCL) with stale-lock
-   breaking, and the compile itself happens in a private build
-   directory followed by an atomic rename, so readers never observe a
-   half-written artifact. *)
+   time a directory is used, and an artifact whose handshake fails at
+   load is deleted and counted the same way; concurrent same-digest
+   compiles are serialized by a [.lock] file (O_CREAT|O_EXCL) with
+   stale-lock breaking, and the compile itself happens in a private
+   build directory followed by an atomic rename, so readers never
+   observe a half-written artifact. *)
 
 (* cv2: entry points return a guard status (0 ok, nonzero = a
    dynamically-indexed read would have gone out of bounds), and buffer
@@ -29,8 +31,11 @@ module Metrics = Functs_obs.Metrics
    avx512f clone sidesteps its downclocking risk on server parts.
    cv5: the emitter owns the launch layout (each site's buffer length
    follows its strides; free scalars bind to locals) and covers
-   Float.max/min/equal, [`Max] reductions and NaN literals. *)
-let version = 5
+   Float.max/min/equal, [`Max] reductions and NaN literals.  cv6: no
+   function clones — each unit is compiled once for the host's
+   {!target} (the clone the ifunc resolver used to pick), in parts
+   compiled concurrently; the target is in the digest and the header. *)
+let version = 6
 
 (* A kernel: index [c_idx] of one artifact's launch table.  The table
    pointer is a raw [dlsym] result (never freed), so the handle is just
@@ -38,6 +43,7 @@ let version = 5
 type cfn = { c_tbl : nativeint; c_idx : int }
 
 external cjit_load : string -> string -> int -> nativeint = "functs_cjit_load"
+external host_avx2 : unit -> bool = "functs_cjit_host_avx2"
 external cjit_last_error : unit -> string = "functs_cjit_error"
 
 external cjit_call :
@@ -50,7 +56,18 @@ let call_c c bufs ints stmt lo hi = cjit_call c.c_tbl c.c_idx bufs ints stmt lo 
 let hit_c = Metrics.counter "jit.c.hit"
 let miss_c = Metrics.counter "jit.c.miss"
 let compiles_c = Metrics.counter "jit.c.compiles"
+let parts_c = Metrics.counter "jit.c.compile_parts"
 let evicted_c = Metrics.counter "jit.c.evicted"
+
+(* The ISA a unit is compiled for.  [Avx2] is exactly the clone that
+   [target_clones("avx2","default")] resolved to on an AVX2 host, so the
+   machine code that runs, and every result bit, is what it was under
+   clones: [-mavx2] enables no FMA, and [-ffp-contract=off] stays. *)
+type target = Avx2 | Generic
+
+let target_name = function Avx2 -> "avx2" | Generic -> "generic"
+let target_flags = function Avx2 -> " -mavx2" | Generic -> ""
+let host_target = if host_avx2 () then Avx2 else Generic
 
 (* The compiler probe shells out once per distinct command and caches
    the verdict for the process lifetime; [set_c_compiler] drops the
@@ -92,7 +109,9 @@ let prefix = "functs_cjit_v"
 let artifact_base digest = Printf.sprintf "%s%d_%s" prefix version digest
 let artifact_name digest = artifact_base digest ^ ".so"
 let artifact_path ~dir ~digest = Filename.concat dir (artifact_name digest)
-let header digest = Printf.sprintf "functs-cjit/v%d/%s" version digest
+
+let header ~target digest =
+  Printf.sprintf "functs-cjit/v%d/%s/%s" version (target_name target) digest
 
 let rec mkdir_p d =
   if d = "" || d = "/" || d = "." || Sys.file_exists d then ()
@@ -100,6 +119,12 @@ let rec mkdir_p d =
     mkdir_p (Filename.dirname d);
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
+
+let evict path =
+  Sys.remove path;
+  Metrics.incr evicted_c;
+  Functs_obs.Journal.record Cache_evict "jit.artifact_cache"
+    ~detail:(Filename.basename path)
 
 (* Drop every artifact (and leftover lock) stamped with a different
    codegen version, and everything the retired OCaml-source lane left
@@ -115,13 +140,7 @@ let evict_stale dir =
           if
             (String.starts_with ~prefix f && not (String.starts_with ~prefix:keep f))
             || String.starts_with ~prefix:"functs_jit_v" f
-          then
-            try
-              Sys.remove (Filename.concat dir f);
-              Metrics.incr evicted_c;
-              Functs_obs.Journal.record Cache_evict "jit.artifact_cache"
-                ~detail:f
-            with _ -> ())
+          then try evict (Filename.concat dir f) with _ -> ())
         files
 
 let read_excerpt path =
@@ -177,14 +196,38 @@ let acquire_or_wait ~lockpath ~final =
    gemm_stubs.c); [-fno-math-errno]/[-fno-trapping-math] change no bit
    patterns but let GCC vectorise sqrt/div.  Transcendental calls are
    the one sanctioned departure from bitwise: the generated unit
-   declares simd variants of exp/log/tanh/pow, so the first compile
-   attempt links [-lmvec] (glibc's vector libm, <= 4 ulp of scalar);
-   when that link fails the retry defines [FUNCTS_NO_VECLIBM] and the
+   declares simd variants of exp/log/tanh/pow, so the first attempt
+   links [-lmvec] (glibc's vector libm, <= 4 ulp of scalar); when that
+   compile or link fails the retry defines [FUNCTS_NO_VECLIBM] and the
    same source compiles back down to bitwise scalar libm. *)
 let compile_flags =
-  "-O3 -shared -fPIC -ffp-contract=off -fno-math-errno -fno-trapping-math"
+  "-O3 -fPIC -ffp-contract=off -fno-math-errno -fno-trapping-math"
 
-let compile_artifact ~dir ~digest ~source =
+(* [Sys.command] semantics without the wait: [cmd] runs under
+   [/bin/sh -c], so a compiler string may carry its own arguments. *)
+let spawn cmd =
+  Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; cmd |] Unix.stdin
+    Unix.stdout Unix.stderr
+
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED rc -> rc
+  | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> 255
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+
+(* Start every command, then reap every child: the first nonzero exit
+   status, or 0. *)
+let run_all cmds =
+  let started =
+    List.map (fun cmd -> try Some (spawn cmd) with _ -> None) cmds
+  in
+  List.fold_left
+    (fun acc pid ->
+      let rc = match pid with Some pid -> reap pid | None -> 127 in
+      if acc <> 0 then acc else rc)
+    0 started
+
+let compile_artifact ~dir ~target ~digest ~parts =
   Tracer.span "jit.c.compile" @@ fun () ->
   let base = artifact_base digest in
   let final = artifact_path ~dir ~digest in
@@ -197,18 +240,40 @@ let compile_artifact ~dir ~digest ~source =
     if not (Sys.file_exists build && Sys.is_directory build) then
       Error ("cannot create build directory " ^ build)
     else begin
-      let src = Filename.concat build (base ^ ".c") in
-      let oc = open_out src in
-      output_string oc source;
-      close_out oc;
+      let file i ext =
+        Filename.concat build (Printf.sprintf "%s.part%d.%s" base i ext)
+      in
+      List.iteri
+        (fun i part ->
+          let oc = open_out (file i "c") in
+          output_string oc part;
+          close_out oc)
+        parts;
+      Metrics.incr ~by:(List.length parts) parts_c;
       let out = Filename.concat build (base ^ ".so") in
-      let log = Filename.concat build "cc.log" in
+      let link_log = Filename.concat build "link.log" in
+      let logs = List.mapi (fun i _ -> file i "log") parts @ [ link_log ] in
       let compiler = !c_cmd in
       let attempt extra libs =
-        Sys.command
-          (Printf.sprintf "%s %s %s -o %s %s %s > %s 2>&1" compiler
-             compile_flags extra (Filename.quote out) (Filename.quote src)
-             libs (Filename.quote log))
+        let compile i _ =
+          Printf.sprintf "%s %s%s %s -c -o %s %s > %s 2>&1" compiler
+            compile_flags (target_flags target) extra
+            (Filename.quote (file i "o"))
+            (Filename.quote (file i "c"))
+            (Filename.quote (file i "log"))
+        in
+        match run_all (List.mapi compile parts) with
+        | 0 ->
+            let objs =
+              String.concat " "
+                (List.mapi (fun i _ -> Filename.quote (file i "o")) parts)
+            in
+            run_all
+              [
+                Printf.sprintf "%s -shared -o %s %s %s > %s 2>&1" compiler
+                  (Filename.quote out) objs libs (Filename.quote link_log);
+              ]
+        | rc -> rc
       in
       let rc =
         match attempt "" "-lmvec -lm" with
@@ -222,7 +287,12 @@ let compile_artifact ~dir ~digest ~source =
         try Unix.rmdir build with _ -> ()
       in
       if rc <> 0 then begin
-        let excerpt = read_excerpt log in
+        let excerpt =
+          List.find_map
+            (fun log -> match read_excerpt log with "" -> None | e -> Some e)
+            logs
+          |> Option.value ~default:""
+        in
         cleanup ();
         Error (Printf.sprintf "%s failed (rc %d): %s" compiler rc excerpt)
       end
@@ -245,7 +315,7 @@ let load_artifact path ~expect_header ~nfns =
   if tbl = 0n then Error (Printf.sprintf "%s: %s" path (cjit_last_error ()))
   else Ok tbl
 
-let get_or_build ~dir ~digest ~source ~nfns =
+let get_or_build ~dir ~target ~digest ~parts ~nfns =
   Mutex.protect lock @@ fun () ->
   match Hashtbl.find_opt loaded digest with
   | Some tbl ->
@@ -260,7 +330,7 @@ let get_or_build ~dir ~digest ~source ~nfns =
         Hashtbl.replace prepared_dirs dir ();
         evict_stale dir
       end;
-      let expect_header = header digest in
+      let expect_header = header ~target digest in
       let final = artifact_path ~dir ~digest in
       let finish path =
         match load_artifact path ~expect_header ~nfns with
@@ -268,8 +338,9 @@ let get_or_build ~dir ~digest ~source ~nfns =
             Hashtbl.replace loaded digest tbl;
             Ok tbl
         | Error e ->
-            (* a corrupt artifact would otherwise wedge every process *)
-            (try Sys.remove path with _ -> ());
+            (* a corrupt or foreign artifact would otherwise wedge every
+               process *)
+            (try evict path with _ -> ());
             Error e
       in
       if Sys.file_exists final then begin
@@ -289,7 +360,7 @@ let get_or_build ~dir ~digest ~source ~nfns =
               (fun () ->
                 if Sys.file_exists final then finish final
                 else
-                  match compile_artifact ~dir ~digest ~source with
+                  match compile_artifact ~dir ~target ~digest ~parts with
                   | Ok () -> finish final
                   | Error e -> Error e)
       end

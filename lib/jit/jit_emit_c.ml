@@ -564,9 +564,12 @@ let emit_stmt ~buf lay ~nstmts ~stmt_idx shapes (s : Codegen.statement) =
      run in order by switch fallthrough ([if (stmt >= 0) break;] at each
      seam), each over its full baked extent ([sl, sh)). *)
   if stmt_idx = 0 then add "  case -1: /* whole kernel */\n";
+  (* the label omits the value id: ids are process-global, and the
+     source must be a function of the code alone for its digest to hit
+     the artifact cache when a program is lowered again *)
   add
     (Printf.sprintf "  case %d: { /* %s : %s */\n" stmt_idx
-       (value_ref s.s_out) (Shape.to_string shape));
+       s.s_out.Graph.v_name (Shape.to_string shape));
   add
     (Printf.sprintf
        "    const long sl = stmt < 0 ? 0 : lo, sh = stmt < 0 ? %d : hi;\n"

@@ -51,6 +51,29 @@ grep -Eq 'jit\.c\.fallback +[1-9]' /tmp/functs_jit_fallback.txt || {
   exit 1
 }
 
+# Split-compile gate: a cold FUNCTS_JIT=auto prepare of yolov3 (five
+# groups, all accepted by the emitter) compiles its unit as
+# min(5, cores) concurrent parts and arms every group — no part fails.
+# `bench exec --smoke` cannot carry this gate: under FUNCTS_JIT=auto it
+# counts emitter rejections of other workloads as jit.c.fallback.
+echo "== JIT gate: cold compile is split across cores =="
+split_dir=$(mktemp -d)
+FUNCTS_JIT=auto FUNCTS_JIT_DIR="$split_dir" FUNCTS_DOMAINS=2 \
+  dune exec bin/functs.exe -- stats yolov3 --runs 1 > /tmp/functs_jit_split.txt
+rm -rf "$split_dir"
+grep '^jit\.c\.' /tmp/functs_jit_split.txt
+want_parts=2
+[ "$(nproc)" -ge 2 ] || want_parts=1
+parts=$(sed -n 's/^jit\.c\.compile_parts *\([0-9]*\)$/\1/p' /tmp/functs_jit_split.txt)
+test -n "$parts" && [ "$parts" -ge "$want_parts" ] || {
+  echo "error: the cold compile ran ${parts:-no} parts, expected >= $want_parts" >&2
+  exit 1
+}
+grep -Eq '^jit\.c\.fallback +0$' /tmp/functs_jit_split.txt || {
+  echo "error: the split compile recorded jit.c.fallback" >&2
+  exit 1
+}
+
 echo "== bench exec --smoke (FUNCTS_DOMAINS=2) =="
 FUNCTS_DOMAINS=2 dune exec bench/main.exe -- exec --smoke \
   | tee /tmp/functs_bench_smoke.txt

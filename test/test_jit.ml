@@ -3,10 +3,12 @@
    arms, under FUNCTS_JIT=auto against the reference interpreter, a
    bitwise edge table for the float operations whose NaN and signed-zero
    rules C does not share with OCaml, graceful per-group fallback when
-   the toolchain is missing, fails to compile, or the artifact directory
-   is unusable, the on-disk
-   artifact cache (warm loads compile nothing; stale and retired-lane
-   artifacts are evicted), and the tuner's journal (units, engine tags).
+   the toolchain is missing, fails to compile (wholly or in one part), or
+   the artifact directory is unusable, the split compile (one artifact
+   from [min nfns cores] concurrently compiled parts), the on-disk
+   artifact cache (warm loads and re-lowered programs compile nothing;
+   stale, retired-lane and foreign-target artifacts are evicted), and
+   the tuner's journal (units, engine tags).
 
    Every test degrades to a meaningful assertion when the host has no C
    compiler: the differential legs then prove the fallback ladder
@@ -17,11 +19,14 @@ open Functs
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let rm_rf d =
+let rec rm_rf d =
   match Sys.readdir d with
   | files ->
       Array.iter
-        (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
+        (fun f ->
+          let p = Filename.concat d f in
+          try if Sys.is_directory p then rm_rf p else Sys.remove p
+          with _ -> ())
         files;
       (try Unix.rmdir d with _ -> ())
   | exception _ -> ()
@@ -46,6 +51,26 @@ let misses = counter "jit.c.miss"
 let compiles = counter "jit.c.compiles"
 let evicted = counter "jit.c.evicted"
 let fallbacks = counter "jit.c.fallback"
+let parts = counter "jit.c.compile_parts"
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let dir_entries dir = try Array.to_list (Sys.readdir dir) with _ -> []
+
+let artifacts_in dir =
+  List.filter
+    (fun f ->
+      String.starts_with
+        ~prefix:(Printf.sprintf "functs_cjit_v%d_" Jit.version)
+        f
+      && Filename.check_suffix f ".so")
+    (dir_entries dir)
+
+let build_dirs_in dir =
+  List.filter (String.starts_with ~prefix:"build-") (dir_entries dir)
 
 let flat (v : Value.t) =
   match v with
@@ -334,14 +359,7 @@ let test_c_artifact_disk_hit () =
     Fun.protect
       ~finally:(fun () -> rm_rf dir)
       (fun () ->
-        let artifacts () =
-          (try Sys.readdir dir with _ -> [||])
-          |> Array.to_list
-          |> List.filter (fun f ->
-                 String.starts_with ~prefix:"functs_cjit_v" f
-                 && Filename.check_suffix f ".so")
-          |> List.sort compare
-        in
+        let artifacts () = List.sort compare (artifacts_in dir) in
         let w = Result.get_ok (Functs.find_workload "attention") in
         let _, fg, args_fn = functionalized w in
         Jit.clear_loaded ();
@@ -362,6 +380,173 @@ let test_c_artifact_disk_hit () =
         check_int "no C cache miss on the warm path" 0 (misses () - m0);
         check "the warm path left the artifact set unchanged" true
           (artifacts () = cold))
+  end
+
+(* --- split compile: one artifact from min(nfns, cores) parts --- *)
+
+let test_split_compile () =
+  if Jit.c_toolchain_available () then begin
+    let dir = jit_dir ^ "-split" in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let w = Result.get_ok (Functs.find_workload "nasrnn") in
+        let g, fg, args_fn = functionalized w in
+        let expected = Eval.run g (clone_args (args_fn ())) in
+        Jit.clear_loaded ();
+        let p0 = parts () and co0 = compiles () in
+        let eng = jit_engine ~dir fg (args_fn ()) in
+        let got = Engine.run eng (args_fn ()) in
+        let s = Engine.stats eng in
+        check "several groups armed" true (s.Scheduler.jit_groups >= 2);
+        check "native kernels ran" true (s.Scheduler.jit_runs > 0);
+        check "armed groups match the interpreter" true
+          (bitwise_or_epsilon expected got);
+        check_int "one compile" 1 (compiles () - co0);
+        check_int "parts = min(nfns, recommended_domain_count)"
+          (min s.Scheduler.jit_groups (Domain.recommended_domain_count ()))
+          (parts () - p0);
+        check_int "exactly one artifact installed" 1
+          (List.length (artifacts_in dir));
+        check "no build directory left behind" true (build_dirs_in dir = []))
+  end
+
+(* --- one part fails to compile: the whole unit degrades per group,
+   nothing is installed, every child is reaped --- *)
+
+let test_partial_compile_failure () =
+  if Jit.c_toolchain_available () then begin
+    let w = Result.get_ok (Functs.find_workload "nasrnn") in
+    let g, fg, args_fn = functionalized w in
+    let expected = Eval.run g (clone_args (args_fn ())) in
+    (* on a single core the unit is one part, and that one fails *)
+    let failing =
+      if Domain.recommended_domain_count () >= 2 then "part1" else "part0"
+    in
+    let fake = Filename.temp_file "functs-partial-cc" ".sh" in
+    let oc = open_out fake in
+    Printf.fprintf oc
+      "#!/bin/sh\n\
+       case \"$*\" in\n\
+       \  *--version*) exit 0 ;;\n\
+       \  *%s*) exit 1 ;;\n\
+       esac\n\
+       exec cc \"$@\"\n"
+      failing;
+    close_out oc;
+    Unix.chmod fake 0o755;
+    let dir = jit_dir ^ "-partial" in
+    let fb0 = fallbacks () and co0 = compiles () and p0 = parts () in
+    Jit.clear_loaded ();
+    Jit.set_c_compiler (Filename.quote fake);
+    let got, stats =
+      Fun.protect
+        ~finally:(fun () ->
+          Jit.set_c_compiler "cc";
+          Jit.clear_loaded ();
+          (try Sys.remove fake with _ -> ());
+          rm_rf dir)
+        (fun () ->
+          let eng = jit_engine ~mode:Jit.Auto ~dir fg (args_fn ()) in
+          let got = Engine.run eng (args_fn ()) in
+          check "no artifact installed" true (artifacts_in dir = []);
+          check "the build directory was removed" true (build_dirs_in dir = []);
+          (got, Engine.stats eng))
+    in
+    check "outputs equal the interpreter" true
+      (bitwise_or_epsilon expected got);
+    check_int "no group armed" 0 stats.Scheduler.jit_groups;
+    check "every group fell back" true (fallbacks () > fb0);
+    check "the unit was compiled in parts" true
+      (parts () - p0 >= min 2 (Domain.recommended_domain_count ()));
+    check_int "nothing counted as compiled" 0 (compiles () - co0);
+    check "no unreaped compiler child" true
+      (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+      | _ -> false)
+  end
+
+(* --- the compile target is part of the digest and the handshake --- *)
+
+let test_target_in_digest () =
+  let w = Result.get_ok (Functs.find_workload "attention") in
+  let _, fg, args_fn = functionalized w in
+  let kernels, shapes = kernels_of fg (args_fn ()) in
+  let emitted =
+    List.filter_map
+      (fun k -> Result.to_option (Functs_jit.Jit_emit_c.emit k ~shapes))
+      kernels
+  in
+  check "attention emits kernels" true (emitted <> []);
+  let module C = Functs_jit.Jit_cache in
+  let d_avx, p_avx = Jit.render_source ~target:C.Avx2 emitted
+  and d_gen, p_gen = Jit.render_source ~target:C.Generic emitted in
+  check "two targets, two digests" true (d_avx <> d_gen);
+  let h_avx = C.header ~target:C.Avx2 d_avx
+  and h_gen = C.header ~target:C.Generic d_gen in
+  check "two targets, two headers" true (h_avx <> h_gen);
+  check "part 0 carries its own header" true
+    (contains (List.hd p_avx) h_avx && contains (List.hd p_gen) h_gen);
+  check "the digest is stable" true
+    (fst (Jit.render_source ~target:C.Avx2 emitted) = d_avx);
+  if Jit.c_toolchain_available () then begin
+    let dir = jit_dir ^ "-target" in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let nfns = List.length emitted in
+        Jit.clear_loaded ();
+        (* a generic build runs anywhere; it poses as the AVX2 artifact *)
+        check "the generic unit builds" true
+          (Result.is_ok
+             (C.get_or_build ~dir ~target:C.Generic ~digest:d_gen ~parts:p_gen
+                ~nfns));
+        let foreign = C.artifact_path ~dir ~digest:d_avx in
+        let ic = open_in_bin (C.artifact_path ~dir ~digest:d_gen)
+        and oc = open_out_bin foreign in
+        output_string oc (really_input_string ic (in_channel_length ic));
+        close_in ic;
+        close_out oc;
+        Jit.clear_loaded ();
+        let ev0 = evicted () and co0 = compiles () in
+        check "the foreign-target artifact is rejected at load" true
+          (Result.is_error
+             (C.get_or_build ~dir ~target:C.Avx2 ~digest:d_avx ~parts:p_avx
+                ~nfns));
+        check "the foreign-target artifact is deleted" false
+          (Sys.file_exists foreign);
+        check_int "the rejection is counted" 1 (evicted () - ev0);
+        check_int "nothing was compiled in its place" 0 (compiles () - co0))
+  end
+
+(* --- id-free digest: a re-lowered program reuses its artifact --- *)
+
+let test_relowered_digest_hit () =
+  if Jit.c_toolchain_available () then begin
+    let dir = jit_dir ^ "-relower" in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let w = Result.get_ok (Functs.find_workload "attention") in
+        let _, fg, args_fn = functionalized w in
+        Jit.clear_loaded ();
+        let eng = jit_engine ~mode:Jit.Auto ~dir fg (args_fn ()) in
+        check "the first lowering armed groups" true
+          ((Engine.stats eng).Scheduler.jit_groups > 0);
+        (* a fresh lowering: new graph, new process-global value ids *)
+        let g2, fg2, args_fn2 = functionalized w in
+        let expected = Eval.run g2 (clone_args (args_fn2 ())) in
+        Jit.clear_loaded ();
+        let h0 = hits () and m0 = misses () and co0 = compiles () in
+        let eng2 = jit_engine ~mode:Jit.Auto ~dir fg2 (args_fn2 ()) in
+        let got = Engine.run eng2 (args_fn2 ()) in
+        check "the second lowering armed groups" true
+          ((Engine.stats eng2).Scheduler.jit_groups > 0);
+        check "the artifact was a hit" true (hits () > h0);
+        check_int "no cache miss" 0 (misses () - m0);
+        check_int "no recompile" 0 (compiles () - co0);
+        check "outputs equal the interpreter" true
+          (bitwise_or_epsilon expected got))
   end
 
 (* --- forced fallback: unusable artifact directory --- *)
@@ -611,6 +796,14 @@ let () =
             test_c_artifact_disk_hit;
           Alcotest.test_case "float edge table bitwise vs interpreter" `Quick
             test_float_edges;
+          Alcotest.test_case "split compile: one artifact, k parts" `Quick
+            test_split_compile;
+          Alcotest.test_case "partial compile failure degrades" `Quick
+            test_partial_compile_failure;
+          Alcotest.test_case "target in the digest and header" `Quick
+            test_target_in_digest;
+          Alcotest.test_case "re-lowered program hits its artifact" `Quick
+            test_relowered_digest_hit;
           Alcotest.test_case "fallback: missing toolchain" `Quick
             test_fallback_missing_toolchain;
           Alcotest.test_case "fallback: unusable artifact dir" `Quick
