@@ -288,7 +288,7 @@ let prepare_jit fg ~inputs =
   Engine.prepare ~parallel:false ~domains:config.Config.domains
     ~loop_grain:config.Config.loop_grain
     ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache
-    ~jit:Jit.On ~jit_dir:config.Config.jit_dir fg ~inputs
+    ~jit:Jit.Auto ~jit_dir:config.Config.jit_dir fg ~inputs
 
 let prepare_times ~parallel fg ~inputs =
   Engine.clear_cache ();
@@ -551,7 +551,11 @@ let run_exec () =
         (* Scaling monotonicity gate: adding lanes must never cost more
            than 10% over the 2-lane time — a d4 regression means the
            runtime is burning the extra lanes on dispatch or steal
-           overhead instead of work. *)
+           overhead instead of work.  On a host with fewer than 4 cores
+           (such as the 2-core x86 development box) the d4 run
+           oversubscribes the cores, so there the gate measures how
+           gracefully the pool degrades under oversubscription, not
+           scaling. *)
         let d2 = sw 2 and d4 = sw 4 in
         if Float.is_finite d2 && Float.is_finite d4 && d4 > 1.1 *. d2
         then begin

@@ -113,7 +113,7 @@ let () =
   let eng =
     Engine.prepare ~parallel:false ~domains:config.Config.domains
       ~loop_grain:config.Config.loop_grain
-      ~kernel_grain:config.Config.kernel_grain ~cache:false ~jit:Jit.On
+      ~kernel_grain:config.Config.kernel_grain ~cache:false ~jit:Jit.Auto
       ~jit_dir:config.Config.jit_dir fg ~inputs:(Engine.input_shapes args)
   in
   let runs = 40 in

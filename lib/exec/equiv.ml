@@ -5,10 +5,8 @@ open Functs_workloads
 
 type outcome = { o_workload : string; o_ok : bool; o_detail : string }
 
-let atol = 1e-4
-
 let values_equal xs ys =
-  List.length xs = List.length ys && List.for_all2 (Value.equal ~atol) xs ys
+  List.length xs = List.length ys && List.for_all2 Value.bits_equal xs ys
 
 let check_graph ~name (g : Graph.t) ~args_fn =
   let expected = Eval.run g (args_fn ()) in

@@ -1,6 +1,6 @@
 (** Differential equivalence harness: every registered workload runs
     through the reference interpreter and through the engine (sequential
-    and parallel), and the outputs must be tensor-equal.
+    and parallel), and the outputs must be bit-for-bit equal.
 
     This is the executor's ground truth — the same role the
     interpreter-vs-interpreter check plays for the functionalization pass. *)
@@ -15,8 +15,8 @@ type outcome = {
 
 val check_workload : ?batch:int -> ?seq:int -> Workload.t -> outcome
 (** Lower, functionalize, and compare [Eval.run] on the original graph
-    against the engine on the functionalized one (both legs), within
-    [Value.equal ~atol:1e-4]. *)
+    against the engine on the functionalized one (both legs) under
+    {!Functs_interp.Value.bits_equal}. *)
 
 val check_all : unit -> outcome list
 (** All of {!Registry.all} plus {!Registry.extensions} at default scale. *)

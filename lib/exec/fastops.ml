@@ -3,10 +3,11 @@
    The interpreter's Ops are the semantic reference and stay naive: every
    element goes through an index array and a strided linear-index
    computation.  The executor replaces the hot operators with loops over
-   the raw storage arrays — broadcast strides are resolved once per call,
-   the innermost dimension runs as a tight for-loop — and falls back to
-   the interpreter for everything else.  Accumulation orders match the
-   reference exactly, so outputs are bitwise identical. *)
+   the raw storage arrays — every elementwise map through one strided
+   iterator over native inner loops, matmul / softmax / reductions as
+   direct loops — and falls back to the interpreter for everything else.
+   Operations and accumulation orders match the reference exactly, so
+   outputs are bitwise identical. *)
 
 open Functs_ir
 open Functs_tensor
@@ -45,296 +46,165 @@ let pchunk ?(bytes_per_iter = 0) ~total n body =
            ~n body)
   | _ -> body 0 n
 
-(* --- view-dimension collapsing ---
+(* Stride of [t] along dim [d] of an [out_nd]-dim broadcast result:
+   missing leading dimensions and size-1 dimensions read index 0. *)
+let bstride (t : Tensor.t) out_nd d =
+  let j = d - (out_nd - Array.length t.Tensor.shape) in
+  if j < 0 || t.Tensor.shape.(j) = 1 then 0 else t.Tensor.strides.(j)
 
-   A suffix of dimensions over which an operand steps row-major
-   contiguously (or not at all, for broadcast operands) is a single flat
-   run: collapsing it to one extent turns the whole elementwise loop
-   into a 1-d iteration the pool can chunk finely — a [3; 100000] view
-   splits into cache-sized tasks instead of three monolithic rows. *)
+(* --- native strided maps (gemm_stubs.c) ---
 
-(* Flat step of [strides] over the suffix [d .. nd-1] of [shape]:
-   [Some 1] when the suffix is contiguous, [Some 0] when it is fully
-   broadcast, [None] otherwise.  Size-1 dims are wildcards (their stride
-   is never used). *)
-let suffix_step strides (shape : int array) d =
-  let nd = Array.length shape in
-  let all0 = ref true and contig = ref true in
-  let expect = ref 1 in
-  for k = nd - 1 downto d do
-    if shape.(k) > 1 then begin
-      if strides.(k) <> 0 then all0 := false;
-      if strides.(k) <> !expect then contig := false
-    end;
-    expect := !expect * shape.(k)
-  done;
-  if !contig then Some 1 else if !all0 then Some 0 else None
+   One row-form inner loop per arity: [rows] iterations of [n] elements,
+   each operand at its own offset, element step and row stride.  The
+   stubs apply exactly the reference's operations (same libm symbols,
+   Float.max/min/equal spelled operand for operand), so results are
+   bitwise identical. *)
 
-(* Smallest [d] such that the suffix [d .. nd-1] is flat for the output
-   (which must step, so broadcast does not qualify) and every input.
-   [nd] when not even the innermost dimension collapses. *)
-let collapse_cut so inputs shape =
-  let nd = Array.length shape in
-  let flat_at d =
-    (match suffix_step so shape d with Some 1 -> true | _ -> false)
-    && List.for_all (fun s -> suffix_step s shape d <> None) inputs
-  in
-  let d = ref 0 in
-  while !d < nd && not (flat_at !d) do
-    incr d
-  done;
-  !d
+(* kind, a, offset, step, row stride, dst, offset, step, row stride,
+   rows, n *)
+external unary_map :
+  int -> float array -> int -> int -> int ->
+  float array -> int -> int -> int ->
+  int -> int -> unit = "functs_unary_map_bytecode" "functs_unary_map"
+[@@noalloc]
 
-let flat_step strides shape d =
-  match suffix_step strides shape d with Some s -> s | None -> assert false
+(* kind, a (4), b (4), dst (4), rows, n *)
+external binary_map :
+  int -> float array -> int -> int -> int ->
+  float array -> int -> int -> int ->
+  float array -> int -> int -> int ->
+  int -> int -> unit = "functs_binary_map_bytecode" "functs_binary_map"
+[@@noalloc]
 
-(* Strides of [t] aligned to an [out_nd]-dim broadcast result: missing
-   leading dimensions and size-1 dimensions read index 0. *)
-let bstrides (t : Tensor.t) out_nd =
-  let n = Tensor.ndim t in
-  Array.init out_nd (fun i ->
-      let j = i - (out_nd - n) in
-      if j < 0 then 0
-      else if t.Tensor.shape.(j) = 1 then 0
-      else t.Tensor.strides.(j))
+(* c (4), a (4), b (4), dst (4), rows, n *)
+external where_map :
+  float array -> int -> int -> int ->
+  float array -> int -> int -> int ->
+  float array -> int -> int -> int ->
+  float array -> int -> int -> int ->
+  int -> int -> unit = "functs_where_map_bytecode" "functs_where_map"
+[@@noalloc]
 
-(* --- elementwise engines: contiguous output, strided broadcast inputs --- *)
+let unary_code : Scalar.unary -> int = function
+  | Scalar.Neg -> 0
+  | Scalar.Abs -> 1
+  | Scalar.Exp -> 2
+  | Scalar.Log -> 3
+  | Scalar.Sqrt -> 4
+  | Scalar.Sigmoid -> 5
+  | Scalar.Tanh -> 6
+  | Scalar.Relu -> 7
 
-let elementwise1 f (out : Tensor.t) (a : Tensor.t) =
-  let shape = out.Tensor.shape in
-  let nd = Array.length shape in
-  let od = data out and ad = data a in
-  if nd = 0 then od.(out.Tensor.offset) <- f ad.(a.Tensor.offset)
-  else begin
-    let sa = bstrides a nd in
-    let so = out.Tensor.strides in
-    let rec go d pa po =
-      if d = nd - 1 then begin
-        let n = shape.(d) and ka = sa.(d) and ko = so.(d) in
-        let pa = ref pa and po = ref po in
-        for _ = 0 to n - 1 do
-          od.(!po) <- f ad.(!pa);
-          pa := !pa + ka;
-          po := !po + ko
-        done
+let copy_code = 8
+
+let binary_code : Scalar.binary -> int = function
+  | Scalar.Add -> 0
+  | Scalar.Sub -> 1
+  | Scalar.Mul -> 2
+  | Scalar.Div -> 3
+  | Scalar.Pow -> 4
+  | Scalar.Max -> 5
+  | Scalar.Min -> 6
+  | Scalar.Lt -> 7
+  | Scalar.Gt -> 8
+  | Scalar.Eq -> 9
+
+(* --- the elementwise iterator ---
+
+   Every elementwise operator iterates its output's shape with each
+   operand at its own (broadcast) strides; [ops] holds the output first,
+   then the inputs.  Size-1 dims are dropped and adjacent dims merge
+   whenever every operand's outer stride is the inner extent times its
+   inner stride (TensorIterator-style coalescing), so contiguous,
+   broadcast and chained views become one flat run.  The outermost
+   remaining dim is chunked across the pool (elements when one dim is
+   left, so a [3; 100000] view splits into cache-sized tasks), dims
+   beyond two loop here, and the last two run in the stub's rows form:
+   [kern ops offs st inner row rows n] launches it with operand [op] at
+   offset [offs.(op)], element step [st.(inner + op)] and row stride
+   [st.(row + op)].  [offs] is mutated between launches. *)
+let map_strided kern (ops : Tensor.t array) =
+  let shape = ops.(0).Tensor.shape in
+  let total = Shape.numel shape in
+  if total > 0 then begin
+    let nd = Array.length shape and nops = Array.length ops in
+    (* coalesced dims, innermost first: extent [ext.(j)], stride of
+       operand [op] at [st.((j * nops) + op)] *)
+    let ext = Array.make (max 1 nd) 1 and st = Array.make (max 1 nd * nops) 0 in
+    let k = ref 0 in
+    for d = nd - 1 downto 0 do
+      let n = shape.(d) in
+      if n > 1 then begin
+        let j = !k - 1 in
+        let op = ref 0 in
+        if j >= 0 then
+          while
+            !op < nops
+            && bstride ops.(!op) nd d = ext.(j) * st.((j * nops) + !op)
+          do
+            incr op
+          done;
+        if j >= 0 && !op = nops then ext.(j) <- ext.(j) * n
+        else begin
+          for op = 0 to nops - 1 do
+            st.((!k * nops) + op) <- bstride ops.(op) nd d
+          done;
+          ext.(!k) <- n;
+          incr k
+        end
       end
-      else
-        for i = 0 to shape.(d) - 1 do
-          go (d + 1) (pa + (i * sa.(d))) (po + (i * so.(d)))
-        done
+    done;
+    let k = max 1 !k in
+    let outer = k - 1 in
+    let n0 = ext.(outer) in
+    let chunk_offs lo =
+      let offs = Array.make nops 0 in
+      for op = 0 to nops - 1 do
+        offs.(op) <- ops.(op).Tensor.offset + (lo * st.((outer * nops) + op))
+      done;
+      offs
     in
-    let total = Shape.numel shape in
-    if total > 0 then begin
-      let dcut = collapse_cut so [ sa ] shape in
-      if dcut = 0 then
-        (* fully flat: chunk over elements, not rows *)
-        let ka = flat_step sa shape 0 in
-        pchunk ~bytes_per_iter:16 ~total total (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let po = ref (out.Tensor.offset + lo) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa);
-              pa := !pa + ka;
-              po := !po + 1
-            done)
-      else if dcut < nd then begin
-        (* strided outer dims over a flat suffix *)
-        let ext = Shape.numel (Array.sub shape dcut (nd - dcut)) in
-        let ka = flat_step sa shape dcut in
-        let rec goc d pa po =
-          if d = dcut then begin
-            let pa = ref pa and po = ref po in
-            for _ = 0 to ext - 1 do
-              od.(!po) <- f ad.(!pa);
-              pa := !pa + ka;
-              po := !po + 1
-            done
-          end
+    let advance offs d times =
+      for op = 0 to nops - 1 do
+        offs.(op) <- offs.(op) + (times * st.((d * nops) + op))
+      done
+    in
+    if k = 1 then
+      pchunk ~bytes_per_iter:(8 * nops) ~total n0 (fun lo hi ->
+          kern ops (chunk_offs lo) st 0 0 1 (hi - lo))
+    else
+      pchunk ~bytes_per_iter:(8 * nops * (total / n0)) ~total n0 (fun lo hi ->
+          let offs = chunk_offs lo in
+          if k = 2 then kern ops offs st 0 nops (hi - lo) ext.(0)
           else
-            for i = 0 to shape.(d) - 1 do
-              goc (d + 1) (pa + (i * sa.(d))) (po + (i * so.(d)))
-            done
-        in
-        pchunk ~bytes_per_iter:(16 * (total / shape.(0))) ~total shape.(0)
-          (fun lo hi ->
-            for i = lo to hi - 1 do
-              goc 1 (a.Tensor.offset + (i * sa.(0))) (out.Tensor.offset + (i * so.(0)))
-            done)
-      end
-      else if nd = 1 then
-        let ka = sa.(0) and ko = so.(0) in
-        pchunk ~total shape.(0) (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let po = ref (out.Tensor.offset + (lo * ko)) in
+            let rec go d =
+              if d = 1 then kern ops offs st 0 nops ext.(1) ext.(0)
+              else begin
+                for _ = 1 to ext.(d) do
+                  go (d - 1);
+                  advance offs d 1
+                done;
+                advance offs d (-ext.(d))
+              end
+            in
             for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa);
-              pa := !pa + ka;
-              po := !po + ko
+              go (outer - 1);
+              advance offs outer 1
             done)
-      else
-        pchunk ~total shape.(0) (fun lo hi ->
-            for i = lo to hi - 1 do
-              go 1 (a.Tensor.offset + (i * sa.(0))) (out.Tensor.offset + (i * so.(0)))
-            done)
-    end
   end
 
-let elementwise2 f (out : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
-  let shape = out.Tensor.shape in
-  let nd = Array.length shape in
-  let od = data out and ad = data a and bd = data b in
-  if nd = 0 then od.(out.Tensor.offset) <- f ad.(a.Tensor.offset) bd.(b.Tensor.offset)
-  else begin
-    let sa = bstrides a nd and sb = bstrides b nd in
-    let so = out.Tensor.strides in
-    let rec go d pa pb po =
-      if d = nd - 1 then begin
-        let n = shape.(d) and ka = sa.(d) and kb = sb.(d) and ko = so.(d) in
-        let pa = ref pa and pb = ref pb and po = ref po in
-        for _ = 0 to n - 1 do
-          od.(!po) <- f ad.(!pa) bd.(!pb);
-          pa := !pa + ka;
-          pb := !pb + kb;
-          po := !po + ko
-        done
-      end
-      else
-        for i = 0 to shape.(d) - 1 do
-          go (d + 1) (pa + (i * sa.(d))) (pb + (i * sb.(d))) (po + (i * so.(d)))
-        done
-    in
-    let total = Shape.numel shape in
-    if total > 0 then begin
-      let dcut = collapse_cut so [ sa; sb ] shape in
-      if dcut = 0 then
-        (* fully flat: chunk over elements, not rows *)
-        let ka = flat_step sa shape 0 and kb = flat_step sb shape 0 in
-        pchunk ~bytes_per_iter:24 ~total total (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let pb = ref (b.Tensor.offset + (lo * kb)) in
-            let po = ref (out.Tensor.offset + lo) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              po := !po + 1
-            done)
-      else if dcut < nd then begin
-        (* strided outer dims over a flat suffix *)
-        let ext = Shape.numel (Array.sub shape dcut (nd - dcut)) in
-        let ka = flat_step sa shape dcut and kb = flat_step sb shape dcut in
-        let rec goc d pa pb po =
-          if d = dcut then begin
-            let pa = ref pa and pb = ref pb and po = ref po in
-            for _ = 0 to ext - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              po := !po + 1
-            done
-          end
-          else
-            for i = 0 to shape.(d) - 1 do
-              goc (d + 1) (pa + (i * sa.(d))) (pb + (i * sb.(d))) (po + (i * so.(d)))
-            done
-        in
-        pchunk ~bytes_per_iter:(24 * (total / shape.(0))) ~total shape.(0)
-          (fun lo hi ->
-            for i = lo to hi - 1 do
-              goc 1
-                (a.Tensor.offset + (i * sa.(0)))
-                (b.Tensor.offset + (i * sb.(0)))
-                (out.Tensor.offset + (i * so.(0)))
-            done)
-      end
-      else if nd = 1 then
-        let ka = sa.(0) and kb = sb.(0) and ko = so.(0) in
-        pchunk ~total shape.(0) (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let pb = ref (b.Tensor.offset + (lo * kb)) in
-            let po = ref (out.Tensor.offset + (lo * ko)) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              po := !po + ko
-            done)
-      else
-        pchunk ~total shape.(0) (fun lo hi ->
-            for i = lo to hi - 1 do
-              go 1
-                (a.Tensor.offset + (i * sa.(0)))
-                (b.Tensor.offset + (i * sb.(0)))
-                (out.Tensor.offset + (i * so.(0)))
-            done)
-    end
-  end
+let unary_kern code ops offs st i r rows n =
+  unary_map code (data ops.(1)) offs.(1) st.(i + 1) st.(r + 1) (data ops.(0))
+    offs.(0) st.(i) st.(r) rows n
 
-let elementwise3 f (out : Tensor.t) (a : Tensor.t) (b : Tensor.t) (c : Tensor.t) =
-  let shape = out.Tensor.shape in
-  let nd = Array.length shape in
-  let od = data out and ad = data a and bd = data b and cd = data c in
-  if nd = 0 then
-    od.(out.Tensor.offset) <-
-      f ad.(a.Tensor.offset) bd.(b.Tensor.offset) cd.(c.Tensor.offset)
-  else begin
-    let sa = bstrides a nd and sb = bstrides b nd and sc = bstrides c nd in
-    let so = out.Tensor.strides in
-    let rec go d pa pb pc po =
-      if d = nd - 1 then begin
-        let n = shape.(d) and ka = sa.(d) and kb = sb.(d) and kc = sc.(d) in
-        let ko = so.(d) in
-        let pa = ref pa and pb = ref pb and pc = ref pc and po = ref po in
-        for _ = 0 to n - 1 do
-          od.(!po) <- f ad.(!pa) bd.(!pb) cd.(!pc);
-          pa := !pa + ka;
-          pb := !pb + kb;
-          pc := !pc + kc;
-          po := !po + ko
-        done
-      end
-      else
-        for i = 0 to shape.(d) - 1 do
-          go (d + 1)
-            (pa + (i * sa.(d)))
-            (pb + (i * sb.(d)))
-            (pc + (i * sc.(d)))
-            (po + (i * so.(d)))
-        done
-    in
-    let total = Shape.numel shape in
-    if total > 0 then begin
-      let dcut = collapse_cut so [ sa; sb; sc ] shape in
-      if dcut = 0 then
-        (* fully flat: chunk over elements, not rows *)
-        let ka = flat_step sa shape 0
-        and kb = flat_step sb shape 0
-        and kc = flat_step sc shape 0 in
-        pchunk ~bytes_per_iter:32 ~total total (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let pb = ref (b.Tensor.offset + (lo * kb)) in
-            let pc = ref (c.Tensor.offset + (lo * kc)) in
-            let po = ref (out.Tensor.offset + lo) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb) cd.(!pc);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              pc := !pc + kc;
-              po := !po + 1
-            done)
-      else if nd = 1 then
-        go 0 a.Tensor.offset b.Tensor.offset c.Tensor.offset out.Tensor.offset
-      else
-        pchunk ~total shape.(0) (fun lo hi ->
-            for i = lo to hi - 1 do
-              go 1
-                (a.Tensor.offset + (i * sa.(0)))
-                (b.Tensor.offset + (i * sb.(0)))
-                (c.Tensor.offset + (i * sc.(0)))
-                (out.Tensor.offset + (i * so.(0)))
-            done)
-    end
-  end
+let binary_kern code ops offs st i r rows n =
+  binary_map code (data ops.(1)) offs.(1) st.(i + 1) st.(r + 1) (data ops.(2))
+    offs.(2) st.(i + 2) st.(r + 2) (data ops.(0)) offs.(0) st.(i) st.(r) rows n
+
+let where_kern ops offs st i r rows n =
+  where_map (data ops.(1)) offs.(1) st.(i + 1) st.(r + 1) (data ops.(2))
+    offs.(2) st.(i + 2) st.(r + 2) (data ops.(3)) offs.(3) st.(i + 3)
+    st.(r + 3) (data ops.(0)) offs.(0) st.(i) st.(r) rows n
 
 (* --- the operators --- *)
 
@@ -349,18 +219,22 @@ let fresh alloc shape =
 
 let clone ?alloc t =
   let out = fresh alloc (Tensor.shape t) in
-  elementwise1 (fun v -> v) out t;
+  map_strided (unary_kern copy_code) [| out; t |];
   out
 
 let contig t = if Tensor.is_contiguous t then t else clone t
 
-(* dst <- src for equal shapes and distinct storages; otherwise defer to
-   the snapshotting reference implementation. *)
+(* dst <- src (broadcast to dst's shape) when the two share no storage
+   and no element of dst aliases another — chunks may then write in any
+   order; otherwise defer to the snapshotting reference implementation. *)
 let copy_into (dst : Tensor.t) (src : Tensor.t) =
+  let ds = Tensor.shape dst and ss = Tensor.shape src in
   if
-    Shape.equal (Tensor.shape dst) (Tensor.shape src)
-    && not (Tensor.same_storage dst src)
-  then elementwise1 (fun v -> v) dst src
+    Shape.broadcastable ss ds
+    && Shape.equal (Shape.broadcast ss ds) ds
+    && (not (Tensor.same_storage dst src))
+    && not (Array.exists2 (fun n s -> n > 1 && s = 0) ds dst.Tensor.strides)
+  then map_strided (unary_kern copy_code) [| dst; src |]
   else ignore (Inplace.copy_ dst src)
 
 (* 0-d operands short-circuit the broadcast/stride machinery entirely:
@@ -368,100 +242,11 @@ let copy_into (dst : Tensor.t) (src : Tensor.t) =
    exclusively. *)
 let scalar0 (t : Tensor.t) = (data t).(t.Tensor.offset)
 
-(* Native inner loops (gemm_stubs.c) for the flat case: when the whole
-   iteration collapses to one run (contiguous output, constant-step
-   inputs), the per-element closure dispatch and bounds checks go away.
-   The stubs apply the exact operations of the OCaml reference (same
-   libm symbols, same IEEE primitives), so results stay bitwise
-   identical; operators whose OCaml semantics differ from C's
-   (Float.max/min/equal NaN and signed-zero rules) have no code and keep
-   the closure path. *)
-(* kind, src, offset, element step, row stride, dst, offset, rows, n *)
-external unary_map :
-  int ->
-  float array ->
-  int ->
-  int ->
-  int ->
-  float array ->
-  int ->
-  int ->
-  int ->
-  unit = "functs_unary_map_bytecode" "functs_unary_map"
-[@@noalloc]
-
-(* kind, a, aoff, astep, arow, b, boff, bstep, brow, dst, doff, rows, n *)
-external binary_map :
-  int ->
-  float array ->
-  int ->
-  int ->
-  int ->
-  float array ->
-  int ->
-  int ->
-  int ->
-  float array ->
-  int ->
-  int ->
-  int ->
-  unit = "functs_binary_map_bytecode" "functs_binary_map"
-[@@noalloc]
-
-let unary_code : Scalar.unary -> int = function
-  | Scalar.Neg -> 0
-  | Scalar.Abs -> 1
-  | Scalar.Exp -> 2
-  | Scalar.Log -> 3
-  | Scalar.Sqrt -> 4
-  | Scalar.Sigmoid -> 5
-  | Scalar.Tanh -> 6
-  | Scalar.Relu -> 7
-
-let binary_code : Scalar.binary -> int option = function
-  | Scalar.Add -> Some 0
-  | Scalar.Sub -> Some 1
-  | Scalar.Mul -> Some 2
-  | Scalar.Div -> Some 3
-  | Scalar.Pow -> Some 4
-  | Scalar.Lt -> Some 5
-  | Scalar.Gt -> Some 6
-  | Scalar.Max | Scalar.Min | Scalar.Eq -> None
-
 let unary ?alloc fn a =
   if Tensor.ndim a = 0 then Tensor.scalar (Scalar.apply_unary fn (scalar0 a))
   else begin
     let out = fresh alloc (Tensor.shape a) in
-    let shape = out.Tensor.shape in
-    let total = Shape.numel shape in
-    let nd = Array.length shape in
-    let sa = bstrides a nd in
-    (* [out] is freshly allocated, hence contiguous: only the input's
-       layout decides between the one-run, rows-over-flat-suffix and
-       generic strided forms. *)
-    (if total = 0 then ()
-     else
-       let code = unary_code fn in
-       let ad = data a and od = data out in
-       match suffix_step sa shape 0 with
-       | Some ka ->
-           pchunk ~bytes_per_iter:16 ~total total (fun lo hi ->
-               unary_map code ad
-                 (a.Tensor.offset + (lo * ka))
-                 ka 0 od
-                 (out.Tensor.offset + lo)
-                 1 (hi - lo))
-       | None -> (
-           match (if nd >= 2 then suffix_step sa shape 1 else None) with
-           | Some ka ->
-               let n = total / shape.(0) in
-               pchunk ~bytes_per_iter:(16 * n) ~total shape.(0) (fun lo hi ->
-                   unary_map code ad
-                     (a.Tensor.offset + (lo * sa.(0)))
-                     ka sa.(0) od
-                     (out.Tensor.offset + (lo * n))
-                     (hi - lo) n)
-           | None -> elementwise1 (Scalar.apply_unary fn) out a));
+    map_strided (unary_kern (unary_code fn)) [| out; a |];
     out
   end
 
@@ -470,43 +255,7 @@ let binary ?alloc fn a b =
     Tensor.scalar (Scalar.apply_binary fn (scalar0 a) (scalar0 b))
   else begin
     let out = fresh alloc (Shape.broadcast (Tensor.shape a) (Tensor.shape b)) in
-    let shape = out.Tensor.shape in
-    let total = Shape.numel shape in
-    let nd = Array.length shape in
-    let sa = bstrides a nd and sb = bstrides b nd in
-    (if total = 0 then ()
-     else
-       match binary_code fn with
-       | None -> elementwise2 (Scalar.apply_binary fn) out a b
-       | Some code -> (
-           let ad = data a and bd = data b and od = data out in
-           match (suffix_step sa shape 0, suffix_step sb shape 0) with
-           | Some ka, Some kb ->
-               pchunk ~bytes_per_iter:24 ~total total (fun lo hi ->
-                   binary_map code ad
-                     (a.Tensor.offset + (lo * ka))
-                     ka 0 bd
-                     (b.Tensor.offset + (lo * kb))
-                     kb 0 od
-                     (out.Tensor.offset + lo)
-                     1 (hi - lo))
-           | _ -> (
-               match
-                 ( (if nd >= 2 then suffix_step sa shape 1 else None),
-                   (if nd >= 2 then suffix_step sb shape 1 else None) )
-               with
-               | Some ka, Some kb ->
-                   let n = total / shape.(0) in
-                   pchunk ~bytes_per_iter:(24 * n) ~total shape.(0)
-                     (fun lo hi ->
-                       binary_map code ad
-                         (a.Tensor.offset + (lo * sa.(0)))
-                         ka sa.(0) bd
-                         (b.Tensor.offset + (lo * sb.(0)))
-                         kb sb.(0) od
-                         (out.Tensor.offset + (lo * n))
-                         (hi - lo) n)
-               | _ -> elementwise2 (Scalar.apply_binary fn) out a b)));
+    map_strided (binary_kern (binary_code fn)) [| out; a; b |];
     out
   end
 
@@ -520,7 +269,7 @@ let where ?alloc c a b =
         (Tensor.shape b)
     in
     let out = fresh alloc shape in
-    elementwise3 (fun cv av bv -> if cv <> 0.0 then av else bv) out c a b;
+    map_strided where_kern [| out; c; a; b |];
     out
   end
 

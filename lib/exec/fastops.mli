@@ -1,8 +1,13 @@
 (** Direct-storage implementations of the hot operators, used by the
     scheduler's per-node path instead of the interpreter's index-array
-    loops.  Semantics (including floating-point accumulation order) match
-    {!Functs_interp.Eval.apply_op} exactly; operators without a fast path
-    fall back to it. *)
+    loops.  Every elementwise map — all unary and binary operators
+    ([Max]/[Min]/[Eq] included), [where], [clone] and [copy_into] — runs
+    through one strided iterator: size-1 dims are dropped, dims whose
+    strides chain for every operand merge, and the last two run in
+    native inner loops ([gemm_stubs.c]) that apply the reference's exact
+    operations.  Results match {!Functs_interp.Eval.apply_op} bit for
+    bit (NaN payloads and signed zeros included); operators without a
+    fast path fall back to it. *)
 
 open Functs_ir
 open Functs_tensor
@@ -20,11 +25,17 @@ val set_parallel : Pool.t option -> grain:int -> unit
 val clone : ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> Tensor.t
 
 val copy_into : Tensor.t -> Tensor.t -> unit
-(** [copy_into dst src] writes [src] through [dst] (equal shapes, distinct
-    storages, tight loops); other cases defer to {!Inplace.copy_}. *)
+(** [copy_into dst src] writes [src], broadcast to [dst]'s shape, through
+    [dst] when the two share no storage and no two elements of [dst]
+    alias; other cases defer to {!Inplace.copy_}. *)
+
+val unary : ?alloc:(Shape.t -> Tensor.t) -> Scalar.unary -> Tensor.t -> Tensor.t
 
 val binary :
   ?alloc:(Shape.t -> Tensor.t) -> Scalar.binary -> Tensor.t -> Tensor.t -> Tensor.t
+
+val where :
+  ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 
 val matmul : ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> Tensor.t -> Tensor.t
 val softmax : ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> dim:int -> Tensor.t

@@ -75,19 +75,21 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
                      argv[6], argv[7], argv[8]);
 }
 
-/* --- flat elementwise maps ---
+/* --- strided elementwise maps ---
  *
- * Inner loops for Fastops' contiguous (suffix-collapsed) unary and
- * binary maps.  Each case applies exactly the operation the OCaml
- * reference applies — the same libm calls (exp, log, tanh, pow compile
- * to the identical symbols Float.exp &c. call) and the same IEEE
- * primitives — so results are bitwise-identical; the win is dropping
- * the per-element closure dispatch and bounds checks.  Operators whose
- * OCaml semantics do not map one-to-one onto C (Float.max/min/equal
- * have their own NaN and signed-zero rules) are NOT given codes here
- * and stay on the OCaml path.
+ * The inner loops of every Fastops elementwise operator (unary, binary,
+ * where, clone, copy_into).  Fastops coalesces the view dimensions and
+ * hands over at most two: [rows] outer iterations of [n] elements, each
+ * operand advancing its own element step and row stride.  Each case
+ * applies exactly the operation the OCaml reference applies — the same
+ * libm calls (exp, log, tanh, pow compile to the identical symbols
+ * Float.exp &c. call), the same IEEE primitives, and Float.max / min /
+ * equal spelled operand for operand as stdlib float.ml (and
+ * Jit_emit_c.float_max / float_min / float_equal) — so results are
+ * bitwise-identical, NaN payloads and signed zeros included.
  *
- * Codes follow Scalar.unary / Scalar.binary constructor order. */
+ * Codes follow Scalar.unary / Scalar.binary constructor order; unary
+ * U_COPY is the identity (clone, copy_into). */
 #include <math.h>
 
 #define U_NEG 0
@@ -98,54 +100,59 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
 #define U_SIGMOID 5
 #define U_TANH 6
 #define U_RELU 7
+#define U_COPY 8
 
-/* [rows] outer iterations over a flat suffix of [n] elements: the
- * input advances [aor] per row and [as] (0 or 1) per element, the
- * contiguous output advances [n] per row.  rows = 1 is the fully
- * collapsed case; rows > 1 covers strided slices like a [b,128] gate
- * view of a [b,512] matmul output. */
+/* Float.max x y / Float.min x y / Float.equal x y of stdlib float.ml. */
+#define FMAX(x, y)                                                          \
+  (((y) > (x) || (!signbit(y) && signbit(x))) ? ((x) != (x) ? (x) : (y))    \
+                                              : ((y) != (y) ? (y) : (x)))
+#define FMIN(x, y)                                                          \
+  (((y) > (x) || (!signbit(y) && signbit(x))) ? ((y) != (y) ? (y) : (x))    \
+                                              : ((x) != (x) ? (x) : (y)))
+/* OCaml's [x +. y] is one addsd, whose result is the first operand's
+   (quieted) NaN when both are NaN; C lets the compiler commute + and *,
+   so [x op NAN_FIRST(x, y)] feeds a NaN [x] to both sides.  With one
+   NaN operand, or none, operand order does not change the result. */
+#define NAN_FIRST(x, y) ((x) != (x) ? (x) : (y))
+#define FEQ(x, y) (((x) == (y) || ((x) != (x) && (y) != (y))) ? 1.0 : 0.0)
+
+#define UN_LOOP(expr)                                                       \
+  do {                                                                      \
+    if (os == 1 && as == 1)                                                 \
+      for (long i = 0; i < n; i++) {                                        \
+        const double x = a[i];                                              \
+        o[i] = (expr);                                                      \
+      }                                                                     \
+    else                                                                    \
+      for (long i = 0; i < n; i++) {                                        \
+        const double x = a[i * as];                                         \
+        o[i * os] = (expr);                                                 \
+      }                                                                     \
+  } while (0)
+
 CAMLprim value functs_unary_map(value vkind, value va, value vao, value vas,
-                                value vaor, value vo, value voo, value vrows,
-                                value vn)
+                                value var, value vo, value voo, value vos,
+                                value vor, value vrows, value vn)
 {
   const double *ab = (const double *)va + Long_val(vao);
   double *ob = (double *)vo + Long_val(voo);
-  const long as = Long_val(vas), aor = Long_val(vaor);
+  const long as = Long_val(vas), ar = Long_val(var);
+  const long os = Long_val(vos), orow = Long_val(vor);
   const long rows = Long_val(vrows), n = Long_val(vn);
   const long kind = Long_val(vkind);
   for (long r = 0; r < rows; r++) {
-    const double *a = ab + r * aor;
-    double *o = ob + r * n;
+    const double *a = ab + r * ar;
+    double *o = ob + r * orow;
     switch (kind) {
-    case U_NEG:
-      for (long i = 0; i < n; i++) o[i] = -a[i * as];
-      break;
-    case U_ABS:
-      for (long i = 0; i < n; i++) o[i] = fabs(a[i * as]);
-      break;
-    case U_EXP:
-      for (long i = 0; i < n; i++) o[i] = exp(a[i * as]);
-      break;
-    case U_LOG:
-      for (long i = 0; i < n; i++) o[i] = log(a[i * as]);
-      break;
-    case U_SQRT:
-      for (long i = 0; i < n; i++) o[i] = sqrt(a[i * as]);
-      break;
-    case U_SIGMOID:
-      for (long i = 0; i < n; i++) o[i] = 1.0 / (1.0 + exp(-a[i * as]));
-      break;
-    case U_TANH:
-      for (long i = 0; i < n; i++) o[i] = tanh(a[i * as]);
-      break;
-    case U_RELU:
-      /* Float.max 0.0 x: positives pass, zeros normalize to +0.0, NaN
-         propagates — fmax has different NaN rules, so spell it out. */
-      for (long i = 0; i < n; i++) {
-        const double x = a[i * as];
-        o[i] = (x > 0.0) ? x : (x != x ? x : 0.0);
-      }
-      break;
+    case U_NEG: UN_LOOP(-x); break;
+    case U_ABS: UN_LOOP(fabs(x)); break;
+    case U_EXP: UN_LOOP(exp(x)); break;
+    case U_LOG: UN_LOOP(log(x)); break;
+    case U_SQRT: UN_LOOP(sqrt(x)); break;
+    case U_SIGMOID: UN_LOOP(1.0 / (1.0 + exp(-x))); break;
+    case U_TANH: UN_LOOP(tanh(x)); break;
+    case U_RELU: UN_LOOP(FMAX(0.0, x)); break;
+    case U_COPY: UN_LOOP(x); break;
     }
   }
   return Val_unit;
@@ -155,7 +162,8 @@ CAMLprim value functs_unary_map_bytecode(value *argv, int argn)
 {
   (void)argn;
   return functs_unary_map(argv[0], argv[1], argv[2], argv[3], argv[4],
-                          argv[5], argv[6], argv[7], argv[8]);
+                          argv[5], argv[6], argv[7], argv[8], argv[9],
+                          argv[10]);
 }
 
 #define B_ADD 0
@@ -163,22 +171,27 @@ CAMLprim value functs_unary_map_bytecode(value *argv, int argn)
 #define B_MUL 2
 #define B_DIV 3
 #define B_POW 4
-#define B_LT 5
-#define B_GT 6
+#define B_MAX 5
+#define B_MIN 6
+#define B_LT 7
+#define B_GT 8
+#define B_EQ 9
 
+/* Contiguous output with unit-step or broadcast operands gets its own
+   loop, so the common layouts vectorize. */
 #define BIN_LOOP(expr)                                                      \
   do {                                                                      \
-    if (as == 1 && bs == 1)                                                 \
+    if (os == 1 && as == 1 && bs == 1)                                      \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[i], y = b[i];                                    \
         o[i] = (expr);                                                      \
       }                                                                     \
-    else if (as == 1 && bs == 0)                                            \
+    else if (os == 1 && as == 1 && bs == 0)                                 \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[i], y = b[0];                                    \
         o[i] = (expr);                                                      \
       }                                                                     \
-    else if (as == 0 && bs == 1)                                            \
+    else if (os == 1 && as == 0 && bs == 1)                                 \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[0], y = b[i];                                    \
         o[i] = (expr);                                                      \
@@ -186,34 +199,37 @@ CAMLprim value functs_unary_map_bytecode(value *argv, int argn)
     else                                                                    \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[i * as], y = b[i * bs];                          \
-        o[i] = (expr);                                                      \
+        o[i * os] = (expr);                                                 \
       }                                                                     \
   } while (0)
 
 CAMLprim value functs_binary_map(value vkind, value va, value vao, value vas,
-                                 value vaor, value vb, value vbo, value vbs,
-                                 value vbor, value vo, value voo, value vrows,
-                                 value vn)
+                                 value var, value vb, value vbo, value vbs,
+                                 value vbr, value vo, value voo, value vos,
+                                 value vor, value vrows, value vn)
 {
   const double *ab = (const double *)va + Long_val(vao);
   const double *bb = (const double *)vb + Long_val(vbo);
-  double *obase = (double *)vo + Long_val(voo);
-  const long as = Long_val(vas), bs = Long_val(vbs);
-  const long aor = Long_val(vaor), bor = Long_val(vbor);
+  double *ob = (double *)vo + Long_val(voo);
+  const long as = Long_val(vas), bs = Long_val(vbs), os = Long_val(vos);
+  const long ar = Long_val(var), br = Long_val(vbr), orow = Long_val(vor);
   const long rows = Long_val(vrows), n = Long_val(vn);
   const long kind = Long_val(vkind);
   for (long r = 0; r < rows; r++) {
-    const double *a = ab + r * aor;
-    const double *b = bb + r * bor;
-    double *o = obase + r * n;
+    const double *a = ab + r * ar;
+    const double *b = bb + r * br;
+    double *o = ob + r * orow;
     switch (kind) {
-    case B_ADD: BIN_LOOP(x + y); break;
+    case B_ADD: BIN_LOOP(x + NAN_FIRST(x, y)); break;
     case B_SUB: BIN_LOOP(x - y); break;
-    case B_MUL: BIN_LOOP(x * y); break;
+    case B_MUL: BIN_LOOP(x * NAN_FIRST(x, y)); break;
     case B_DIV: BIN_LOOP(x / y); break;
     case B_POW: BIN_LOOP(pow(x, y)); break;
+    case B_MAX: BIN_LOOP(FMAX(x, y)); break;
+    case B_MIN: BIN_LOOP(FMIN(x, y)); break;
     case B_LT: BIN_LOOP((x < y) ? 1.0 : 0.0); break;
     case B_GT: BIN_LOOP((x > y) ? 1.0 : 0.0); break;
+    case B_EQ: BIN_LOOP(FEQ(x, y)); break;
     }
   }
   return Val_unit;
@@ -224,5 +240,39 @@ CAMLprim value functs_binary_map_bytecode(value *argv, int argn)
   (void)argn;
   return functs_binary_map(argv[0], argv[1], argv[2], argv[3], argv[4],
                            argv[5], argv[6], argv[7], argv[8], argv[9],
-                           argv[10], argv[11], argv[12]);
+                           argv[10], argv[11], argv[12], argv[13], argv[14]);
+}
+
+/* where(c, a, b): the reference's [if c <> 0.0 then a else b]. */
+CAMLprim value functs_where_map(value vc, value vco, value vcs, value vcr,
+                                value va, value vao, value vas, value var,
+                                value vb, value vbo, value vbs, value vbr,
+                                value vo, value voo, value vos, value vor,
+                                value vrows, value vn)
+{
+  const double *cb = (const double *)vc + Long_val(vco);
+  const double *ab = (const double *)va + Long_val(vao);
+  const double *bb = (const double *)vb + Long_val(vbo);
+  double *ob = (double *)vo + Long_val(voo);
+  const long cs = Long_val(vcs), as = Long_val(vas), bs = Long_val(vbs);
+  const long os = Long_val(vos);
+  const long cr = Long_val(vcr), ar = Long_val(var), br = Long_val(vbr);
+  const long orow = Long_val(vor);
+  const long rows = Long_val(vrows), n = Long_val(vn);
+  for (long r = 0; r < rows; r++) {
+    const double *c = cb + r * cr, *a = ab + r * ar, *b = bb + r * br;
+    double *o = ob + r * orow;
+    for (long i = 0; i < n; i++)
+      o[i * os] = (c[i * cs] != 0.0) ? a[i * as] : b[i * bs];
+  }
+  return Val_unit;
+}
+
+CAMLprim value functs_where_map_bytecode(value *argv, int argn)
+{
+  (void)argn;
+  return functs_where_map(argv[0], argv[1], argv[2], argv[3], argv[4],
+                          argv[5], argv[6], argv[7], argv[8], argv[9],
+                          argv[10], argv[11], argv[12], argv[13], argv[14],
+                          argv[15], argv[16], argv[17]);
 }

@@ -973,9 +973,8 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
 
 let engine_ids = Atomic.make 1
 
-let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
-    ~kernel_grain ~jit ~jit_dir ~graph ~shapes ~plan =
-  ignore profile;
+let prepare ~parallel ~domains ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
+    ~jit_dir ~graph ~shapes ~plan =
   Metrics.incr prepares_c;
   let engine = Atomic.fetch_and_add engine_ids 1 in
   Tracer.span_args "scheduler.prepare"

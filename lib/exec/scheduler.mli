@@ -38,7 +38,6 @@ open Functs_interp
 type prepared
 
 val prepare :
-  profile:Compiler_profile.t ->
   parallel:bool ->
   domains:int ->
   pool:Pool.t ->

@@ -45,6 +45,24 @@ let rec equal ?(atol = 1e-6) a b =
       List.length x = List.length y && List.for_all2 (equal ~atol) x y
   | (Tensor _ | Int _ | Float _ | Bool _ | List _), _ -> false
 
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let rec bits_equal a b =
+  match (a, b) with
+  | Tensor x, Tensor y ->
+      Shape.equal (Tensor.shape x) (Tensor.shape y)
+      &&
+      let ok = ref true in
+      Tensor.iteri x (fun ix v ->
+          if not (same_bits v (Tensor.get y ix)) then ok := false);
+      !ok
+  | Float x, Float y -> same_bits x y
+  | Int x, Int y -> x = y
+  | Bool x, Bool y -> x = y
+  | List x, List y ->
+      List.length x = List.length y && List.for_all2 bits_equal x y
+  | (Tensor _ | Int _ | Float _ | Bool _ | List _), _ -> false
+
 let rec pp ppf = function
   | Tensor t -> Tensor.pp ppf t
   | Int i -> Format.pp_print_int ppf i

@@ -21,5 +21,10 @@ val to_bool : t -> bool
 val equal : ?atol:float -> t -> t -> bool
 (** Structural equality; tensors compared with {!Tensor.allclose}. *)
 
+val bits_equal : t -> t -> bool
+(** Structural equality with every float — tensor elements and [Float]
+    scalars — compared by [Int64.bits_of_float]: NaN payloads and signed
+    zeros must match, and tensors must have equal shapes. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

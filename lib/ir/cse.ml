@@ -12,11 +12,16 @@ let mergeable (op : Op.t) =
       false
 
 (* Structural key: the op (whose attributes compare structurally — it
-   contains no functions) plus input identities. *)
-type key = Key of Op.t * int list
+   contains no functions) plus input identities.  A float constant keys
+   on its bit pattern instead: structural equality calls -0.0 and 0.0
+   (and any two NaNs) equal, and merging those would change results. *)
+type key = Key of Op.t * int list | Float_const of int64
 
 let key_of (node : Graph.node) =
-  Key (node.n_op, List.map (fun (v : Graph.value) -> v.Graph.v_id) node.n_inputs)
+  match node.n_op with
+  | Op.Constant (Op.Cfloat f) -> Float_const (Int64.bits_of_float f)
+  | op ->
+      Key (op, List.map (fun (v : Graph.value) -> v.Graph.v_id) node.n_inputs)
 
 let has_mutation g =
   let found = ref false in

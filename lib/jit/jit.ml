@@ -18,15 +18,14 @@ module Metrics = Functs_obs.Metrics
    [jit.c.fallback] tick, and [run] raises only {!Fallback}, which the
    scheduler converts into a per-node replay of the group. *)
 
-type mode = Off | On | Auto
+type mode = Off | Auto
 
 let mode_of_string = function
   | "off" -> Some Off
-  | "on" -> Some On
   | "auto" -> Some Auto
   | _ -> None
 
-let mode_to_string = function Off -> "off" | On -> "on" | Auto -> "auto"
+let mode_to_string = function Off -> "off" | Auto -> "auto"
 
 let fallback_c = Metrics.counter "jit.c.fallback"
 let groups_c = Metrics.counter "jit.c.groups"
@@ -200,7 +199,7 @@ let make_entry (em : Jit_emit_c.emitted) fn =
 let prepare_groups ~mode ~dir ~kernels ~shapes =
   match (mode, kernels) with
   | Off, _ | _, [] -> []
-  | (On | Auto), _ -> (
+  | Auto, _ -> (
       let emitted =
         Tracer.span "jit.c.emit" @@ fun () ->
         List.filter_map

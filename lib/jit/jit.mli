@@ -13,8 +13,8 @@ open Functs_ir
 open Functs_tensor
 open Functs_core
 
-type mode = Off | On | Auto
-(** [On]/[Auto] arm every eligible group natively and let the per-group
+type mode = Off | Auto
+(** [Auto] arms every eligible group natively and lets the per-group
     tuner choose between the native launch and per-node execution;
     [Off] disables the JIT (every group runs per node). *)
 

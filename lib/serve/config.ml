@@ -101,7 +101,7 @@ let metrics_sink cfg _key v =
 let jit_mode cfg key v =
   match Jit.mode_of_string (String.lowercase_ascii v) with
   | Some m -> Ok { cfg with jit = m }
-  | None -> invalid key v "expected off, on or auto"
+  | None -> invalid key v "expected off or auto"
 
 (* The artifact directory honours the usual cache conventions when the
    variable is unset: $XDG_CACHE_HOME/functs/jit, else

@@ -97,9 +97,9 @@ val of_env :
     - [FUNCTS_TRACE] — [off] forms, [on]/[1]/[true], or an output path;
     - [FUNCTS_METRICS] — [off] forms, [stderr]/[on]/[1], or a path;
     - [FUNCTS_POLICY] — [interp]/[interp_fallback] or [shed];
-    - [FUNCTS_JIT] — [off] (default), [on], or [auto] (arm native
-      kernels, falling back per group to per-node execution on any
-      failure);
+    - [FUNCTS_JIT] — [off] (default) or [auto] (arm native kernels and
+      let the per-group tuner pick native vs per-node, falling back per
+      group to per-node execution on any failure);
     - [FUNCTS_JIT_DIR] — JIT artifact-cache directory.  When unset the
       directory follows cache conventions: [$XDG_CACHE_HOME/functs/jit],
       else [$HOME/.cache/functs/jit], else a temp-dir fallback.

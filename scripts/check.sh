@@ -112,7 +112,10 @@ done
 
 # Scaling monotonicity: going from 2 to 4 lanes must never cost a
 # workload more than 10% — a d4 regression means the pool burns the
-# extra lanes on dispatch/steal overhead instead of work.
+# extra lanes on dispatch/steal overhead instead of work.  On a host
+# with fewer than 4 cores (such as the 2-core x86 development box) d4
+# oversubscribes the cores, so there this gate measures degradation
+# under oversubscription rather than scaling.
 echo "== BENCH_exec.json scaling gate (d4 <= 1.1 x d2) =="
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || { echo "error: BENCH_exec.json fails the d4-vs-d2 scaling gate" >&2; exit 1; }

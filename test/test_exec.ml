@@ -37,7 +37,7 @@ let engines_of g args =
 let agrees g args_fn =
   let expected = Eval.run g (args_fn ()) in
   let eng, engp = engines_of g (args_fn ()) in
-  let ok got = List.for_all2 (Value.equal ~atol:1e-4) expected got in
+  let ok got = List.for_all2 Value.bits_equal expected got in
   (* repeated-call mode: the second run reuses pooled buffers, tuned
      kernel modes and (process-wide) the compile cache — it must agree
      exactly like the first *)
@@ -66,10 +66,11 @@ let jit_dir =
 
 let native_engine ?(domains = 2) fg args =
   Engine.prepare ~parallel:true ~domains ~cache:false
-    ~jit:Functs_jit.Jit.On ~jit_dir fg ~inputs:(Engine.input_shapes args)
+    ~jit:Functs_jit.Jit.Auto ~jit_dir fg ~inputs:(Engine.input_shapes args)
 
-(* Bitwise, except that vectorised transcendentals (libmvec, <= 4 ulp of
-   scalar libm) may miss by far less than the 1e-4 gate above. *)
+(* Bitwise, except that vectorised transcendentals in fused kernels
+   (libmvec, <= 4 ulp of scalar libm) may miss by a relative 1e-9; the
+   per-node path above stays bitwise. *)
 let native_equal expected got =
   List.length expected = List.length got
   && List.for_all2
@@ -195,6 +196,131 @@ let test_pool_bitwise_kernels () =
   same "matmul" (fun () -> Fastops.matmul m n);
   same "softmax" (fun () -> Fastops.softmax a ~dim:1);
   same "sum_dim" (fun () -> Fastops.sum_dim a ~dim:1 ~keepdim:false)
+
+(* Every per-node elementwise map against the reference operators, bit
+   for bit, over the layouts the strided iterator must handle — contiguous,
+   transposed, step-sliced, broadcast (stride 0), size-1 dims, 0-d, empty,
+   a rank-broadcast operand and a 4-d view that does not coalesce — with
+   the float edge values (NaN payloads, signed zeros, infinities) in
+   every operand, sequentially and chunked across a pool. *)
+let edge_values =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0x7ff8000000000123L;
+    Int64.float_of_bits 0xfff8000000000000L;
+    0.0;
+    -0.0;
+    Float.infinity;
+    Float.neg_infinity;
+    1.5;
+    -2.5;
+    0.25;
+  |]
+
+(* [fill seed t] writes edge value [(i / seed + i) mod n] at logical
+   element [i], so two operands with distinct seeds meet in many
+   pairs. *)
+let fill seed (t : T.t) =
+  let n = Array.length edge_values and i = ref 0 in
+  Functs_tensor.Shape.iter_indices (T.shape t) (fun ix ->
+      T.set t ix edge_values.(((!i / seed) + !i) mod n);
+      incr i);
+  t
+
+let s4 = [| 3; 5; 2; 4 |]
+
+(* (name, fresh view) pairs; every view but the last four has shape [s4]. *)
+let layouts =
+  [
+    ("contiguous", fun () -> T.zeros s4);
+    ( "transposed",
+      fun () -> T.transpose (T.zeros [| 3; 5; 4; 2 |]) ~dim0:2 ~dim1:3 );
+    ( "step-sliced",
+      fun () ->
+        let t =
+          T.slice (T.zeros [| 6; 5; 2; 8 |]) ~dim:0 ~start:1 ~stop:6 ~step:2
+        in
+        T.slice t ~dim:3 ~start:0 ~stop:8 ~step:2 );
+    ("expanded", fun () -> T.expand (T.zeros [| 3; 1; 2; 1 |]) s4);
+    ( "4-d uncoalescable",
+      fun () -> T.permute (T.zeros [| 2; 3; 4; 5 |]) [| 1; 3; 0; 2 |] );
+    ("rank-broadcast", fun () -> T.zeros [| 5; 1; 4 |]);
+    ( "size-1 dims",
+      fun () ->
+        let t = T.narrow (T.zeros [| 3; 2; 5; 3; 4 |]) ~dim:1 ~start:1 ~len:1 in
+        T.narrow t ~dim:3 ~start:2 ~len:1 );
+    ("0-d", fun () -> T.scalar 0.0);
+    ("empty", fun () -> T.zeros [| 3; 0; 4 |]);
+  ]
+
+let test_fastops_layouts () =
+  let module Scalar = Functs_tensor.Scalar in
+  let module Shape = Functs_tensor.Shape in
+  let module Ops = Functs_tensor.Ops in
+  let same name expected got =
+    if not (Value.bits_equal (Value.Tensor expected) (Value.Tensor got)) then
+      Alcotest.failf "%s differs from the reference" name
+  in
+  let broadcast ts =
+    match List.fold_left (fun s t -> Shape.broadcast s (T.shape t)) [||] ts with
+    | s -> Some s
+    | exception Invalid_argument _ -> None
+  in
+  (* a destination view of [mk] inside a sentinel-filled base *)
+  let dst mk =
+    let v = mk () in
+    let storage = v.T.storage in
+    let base = T.of_storage storage [| Functs_tensor.Storage.length storage |] in
+    T.mapi_inplace base (fun _ _ -> -7.0);
+    (base, v)
+  in
+  let check_all mode =
+    List.iter
+      (fun (ln, mk) ->
+        let a = fill 1 (mk ()) in
+        List.iter
+          (fun fn ->
+            same
+              (Printf.sprintf "%s %s (%s)" (Scalar.unary_name fn) ln mode)
+              (Ops.unary fn a) (Fastops.unary fn a))
+          Scalar.all_unary;
+        same
+          (Printf.sprintf "clone %s (%s)" ln mode)
+          (T.clone a) (Fastops.clone a);
+        List.iter
+          (fun (ln', mk') ->
+            let b = fill 10 (mk' ()) and c = fill 3 (mk ()) in
+            if broadcast [ a; b ] <> None then
+              List.iter
+                (fun fn ->
+                  same
+                    (Printf.sprintf "%s %s x %s (%s)" (Scalar.binary_name fn) ln
+                       ln' mode)
+                    (Ops.binary fn a b) (Fastops.binary fn a b))
+                Scalar.all_binary;
+            if broadcast [ c; a; b ] <> None then
+              same
+                (Printf.sprintf "where %s x %s (%s)" ln ln' mode)
+                (Ops.where c a b) (Fastops.where c a b);
+            let rb, rv = dst mk' and fb, fv = dst mk' in
+            if broadcast [ a; rv ] = Some (T.shape rv) then begin
+              ignore (Functs_tensor.Inplace.copy_ rv a);
+              Fastops.copy_into fv a;
+              same (Printf.sprintf "copy_into %s <- %s (%s)" ln' ln mode) rb fb
+            end)
+          layouts)
+      layouts
+  in
+  Fastops.set_parallel None ~grain:8192;
+  check_all "sequential";
+  let pool = Pool.create ~lanes:2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Fastops.set_parallel None ~grain:8192;
+      Pool.shutdown pool)
+    (fun () ->
+      Fastops.set_parallel (Some pool) ~grain:4;
+      check_all "chunked")
 
 let test_pool_shutdown_joins () =
   (* 150 create/shutdown cycles would blow OCaml's live-domain limit
@@ -708,9 +834,8 @@ let prop_engine_matches_interp_straightline =
       agrees g (fresh_args 7))
 
 (* The native lane on random programs.  Each program is one cc compile
-   (0.5-1 s at -O3 with two target clones on a 2-core x86 host), so the
-   count keeps the leg near 15 s, and a fixed seed keeps it
-   reproducible. *)
+   (about 0.5 s at -O3 for the host's ISA on a 2-core x86 host), so the
+   count keeps the leg short, and a fixed seed keeps it reproducible. *)
 let prop_native_matches_interp =
   QCheck2.Test.make
     ~name:"native lane matches the interpreter on random programs"
@@ -739,6 +864,8 @@ let () =
           Alcotest.test_case "nested dispatch" `Quick test_pool_nested;
           Alcotest.test_case "bitwise-identical kernels" `Quick
             test_pool_bitwise_kernels;
+          Alcotest.test_case "elementwise layouts x float edges" `Quick
+            test_fastops_layouts;
           Alcotest.test_case "shutdown joins all domains" `Quick
             test_pool_shutdown_joins;
           Alcotest.test_case "steal contention stress" `Quick

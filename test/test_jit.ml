@@ -1,6 +1,6 @@
 (* The native JIT backend: differential equivalence of every registered
-   workload under FUNCTS_JIT=on and, run repeatedly through the tuner's
-   arms, under FUNCTS_JIT=auto against the reference interpreter, a
+   workload under FUNCTS_JIT=auto — once, and repeatedly through the
+   tuner's arms — against the reference interpreter, a
    bitwise edge table for the float operations whose NaN and signed-zero
    rules C does not share with OCaml, graceful per-group fallback when
    the toolchain is missing, fails to compile (wholly or in one part), or
@@ -72,37 +72,22 @@ let artifacts_in dir =
 let build_dirs_in dir =
   List.filter (String.starts_with ~prefix:"build-") (dir_entries dir)
 
-let flat (v : Value.t) =
-  match v with
-  | Value.Tensor t ->
-      let out = ref [] in
-      Shape.iter_indices t.Tensor.shape (fun ix ->
-          out := Int64.bits_of_float (Tensor.get t ix) :: !out);
-      Some (List.rev !out)
-  | _ -> None
-
 let bitwise expected got =
   List.length expected = List.length got
-  && List.for_all2 (fun e g -> flat e <> None && flat e = flat g) expected got
+  && List.for_all2 Value.bits_equal expected got
 
 (* Bitwise when both sides are tensors (the emitter reproduces the
    interpreter's operation order exactly) — except that vectorised
    transcendentals go through glibc's libmvec, whose kernels are
    specified to <= 4 ulp of scalar libm, so a bitwise miss falls back to
-   a tolerance still nine orders tighter than the engine's 1e-4 epsilon
-   gate.  Non-tensor values compare under that gate. *)
+   a 1e-9 relative tolerance.  Non-tensor values compare within 1e-4. *)
 let bitwise_or_epsilon expected got =
   List.length expected = List.length got
   && List.for_all2
        (fun e g ->
-         match (flat e, flat g) with
-         | Some be, Some bg -> (
-             be = bg
-             ||
-             match (e, g) with
-             | Value.Tensor te, Value.Tensor tg ->
-                 Tensor.allclose ~atol:1e-12 ~rtol:1e-9 te tg
-             | _ -> false)
+         match (e, g) with
+         | Value.Tensor te, Value.Tensor tg ->
+             Value.bits_equal e g || Tensor.allclose ~atol:1e-12 ~rtol:1e-9 te tg
          | _ -> Value.equal ~atol:1e-4 e g)
        expected got
 
@@ -118,7 +103,7 @@ let functionalized (w : Workload.t) =
   ignore (Passes.tensorssa_pipeline fg);
   (g, fg, fun () -> w.Workload.inputs ~batch ~seq)
 
-let jit_engine ?(mode = Jit.On) ?(dir = jit_dir) fg args =
+let jit_engine ?(mode = Jit.Auto) ?(dir = jit_dir) fg args =
   Engine.prepare ~parallel:false ~cache:false ~jit:mode ~jit_dir:dir fg
     ~inputs:(Engine.input_shapes args)
 
@@ -127,7 +112,7 @@ let kernels_of fg args =
   let shapes = Shape_infer.infer fg ~inputs:(Engine.input_shapes args) in
   (Codegen.emit fg plan ~shapes, shapes)
 
-(* --- differential: every workload, FUNCTS_JIT=on vs interpreter --- *)
+(* --- differential: every workload, FUNCTS_JIT=auto vs interpreter --- *)
 
 let test_differential () =
   let armed = ref 0 and native_runs = ref 0 in
@@ -718,7 +703,7 @@ let test_bucket_engine_tags () =
     let config =
       {
         Config.default with
-        Config.jit = Jit.On;
+        Config.jit = Jit.Auto;
         jit_dir;
         batch_buckets = [ 1; 2 ];
         domains = 1;

@@ -102,7 +102,7 @@ let test_chrome_export_lstm () =
              with _ -> ());
             try Unix.rmdir dir with _ -> ())
           (fun () ->
-            Engine.prepare ~cache:false ~jit:Functs_jit.Jit.On ~jit_dir:dir g
+            Engine.prepare ~cache:false ~jit:Functs_jit.Jit.Auto ~jit_dir:dir g
               ~inputs:(Engine.input_shapes args))
       in
       ignore (Engine.run eng args);

@@ -67,6 +67,21 @@ let test_cse_never_merges_clones () =
   let g = Builder.graph b in
   check_int "clones kept" 0 (Cse.run g)
 
+(* -0.0 = 0.0 and nan = nan structurally, but merging such constants
+   would change results: a random straight-line program stored
+   -0.0625 * 0.0 as +0.0 once folding and CSE met a literal 0.0. *)
+let test_cse_float_constants_by_bits () =
+  let b = Builder.create "zeros" ~params:[] in
+  let nan2 = Int64.float_of_bits 0x7ff8000000000123L in
+  let consts = [ 0.0; -0.0; Float.nan; nan2; 0.0; nan2 ] in
+  Builder.return b (List.map (Builder.float b) consts);
+  let g = Builder.graph b in
+  check_int "only bit-identical constants merge" 2 (Cse.run g);
+  Verifier.check_exn g;
+  check "outputs keep every constant's bits" true
+    (List.for_all2 Value.bits_equal (Eval.run g [])
+       (List.map (fun c -> Value.Float c) consts))
+
 let test_cse_scoped_across_blocks () =
   (* An expression computed before a loop is reused inside its body. *)
   let b =
@@ -324,6 +339,8 @@ let () =
             test_cse_chain_merges_in_one_pass;
           Alcotest.test_case "refuses mutation" `Quick test_cse_refuses_mutation;
           Alcotest.test_case "keeps clones" `Quick test_cse_never_merges_clones;
+          Alcotest.test_case "float constants by bits" `Quick
+            test_cse_float_constants_by_bits;
           Alcotest.test_case "scoped across blocks" `Quick
             test_cse_scoped_across_blocks;
           Alcotest.test_case "fig4 duplicate access" `Quick

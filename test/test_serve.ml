@@ -453,6 +453,8 @@ let test_of_env_rejects_malformed () =
   rejects [ ("FUNCTS_QUEUE", "-1") ] "FUNCTS_QUEUE";
   rejects [ ("FUNCTS_JOURNAL", "maybe") ] "FUNCTS_JOURNAL";
   rejects [ ("FUNCTS_JOURNAL_BUF", "8") ] "FUNCTS_JOURNAL_BUF";
+  (* the JIT modes are off and auto; "on" is not one of them *)
+  rejects [ ("FUNCTS_JIT", "on") ] "FUNCTS_JIT";
   (* bucket lists: must parse, start at 1, and be strictly ascending *)
   rejects [ ("FUNCTS_BATCH_BUCKETS", "4,16") ] "FUNCTS_BATCH_BUCKETS";
   rejects [ ("FUNCTS_BATCH_BUCKETS", "1,16,4") ] "FUNCTS_BATCH_BUCKETS";
