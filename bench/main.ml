@@ -275,20 +275,21 @@ let dispatch_overhead () =
 
 (* Cold vs warm [Engine.prepare]: the cold call lowers from scratch (the
    cache was just cleared), the warm one must come back from the compile
-   cache.  Measured per call — warm is a digest + hashtable probe. *)
-let prepare ~parallel fg ~inputs =
-  Engine.prepare ~parallel ~domains:config.Config.domains
-    ~loop_grain:config.Config.loop_grain
-    ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache fg
-    ~inputs
+   cache.  Measured per call — warm is a digest + hashtable probe.
+
+   The per-node engines run with the JIT off whatever FUNCTS_JIT says:
+   the sequential engine is the reference the batched-loop gates compare
+   bit for bit, and a native group launched there but run per node
+   inside a batched loop would differ in the last bits (libmvec).  The
+   native lane has its own engine and its own gate below. *)
+let prepare ?(domains = config.Config.domains) ~parallel fg ~inputs =
+  Engine.prepare ~parallel ~domains ~jit:Jit.Off fg ~inputs
 
 (* The JIT arm always measures, whatever FUNCTS_JIT says (per-group
    graceful fallback keeps it safe everywhere). *)
 let prepare_jit fg ~inputs =
-  Engine.prepare ~parallel:false ~domains:config.Config.domains
-    ~loop_grain:config.Config.loop_grain
-    ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache
-    ~jit:Jit.Auto ~jit_dir:config.Config.jit_dir fg ~inputs
+  Engine.prepare ~parallel:false ~domains:config.Config.domains ~jit:Jit.Auto
+    ~jit_dir:config.Config.jit_dir fg ~inputs
 
 let prepare_times ~parallel fg ~inputs =
   Engine.clear_cache ();
@@ -349,8 +350,6 @@ let write_json path rows (pool_us, spawn_us) =
   let c = Compiler_profile.cache_snapshot () in
   p "{\n";
   p "  \"domains\": %d,\n" config.Config.domains;
-  p "  \"loop_grain\": %d,\n" config.Config.loop_grain;
-  p "  \"kernel_grain\": %d,\n" config.Config.kernel_grain;
   p "  \"dispatch_us\": { \"pool\": %.3f, \"spawn_join\": %.3f },\n" pool_us
     spawn_us;
   p "  \"workloads\": [\n";
@@ -403,7 +402,7 @@ let write_json path rows (pool_us, spawn_us) =
     "  \"cache\": { \"hits\": %d, \"misses\": %d, \"evictions\": %d, \
      \"resident\": %d },\n"
     c.Compiler_profile.cache_hits c.Compiler_profile.cache_misses
-    c.Compiler_profile.cache_evictions (Engine.cache_size ());
+    c.Compiler_profile.cache_evictions (Engine.cache_entries ());
   p "  \"metrics\": %s%s\n"
     (Metrics.to_json (Metrics.snapshot ()))
     (match serve with Some _ -> "," | None -> "");
@@ -415,15 +414,9 @@ let write_json path rows (pool_us, spawn_us) =
 
 (* Bitwise output comparison: the gate for batched loops.  A loop the
    analysis calls Parallel (or an exactly-associative reduction) must
-   reproduce the sequential engine's bits, not just its values. *)
-let tensors_bitwise a b =
-  List.for_all2
-    (fun x y ->
-      match (x, y) with
-      | Value.Tensor t, Value.Tensor u ->
-          Tensor.to_flat_array t = Tensor.to_flat_array u
-      | _ -> Value.equal ~atol:0.0 x y)
-    a b
+   reproduce the sequential engine's bits, not just its values — NaN
+   payloads and signed zeros included. *)
+let bitwise a b = List.for_all2 Value.bits_equal a b
 
 let sweep_domains = [ 1; 2; 4 ]
 
@@ -466,11 +459,11 @@ let run_exec () =
       end
       (* the gate for native kernels: bitwise vs the interpreter, or at
          worst within the harness epsilon *)
-      else if not (tensors_bitwise expected jit_out || equal jit_out) then begin
+      else if not (bitwise expected jit_out || equal jit_out) then begin
         ok := false;
         Printf.printf "  %-10s JIT ENGINE DIVERGED FROM INTERPRETER\n" w.name
       end
-      else if nbatched > 0 && not (tensors_bitwise seq_ref par_out) then begin
+      else if nbatched > 0 && not (bitwise seq_ref par_out) then begin
         ok := false;
         Printf.printf
           "  %-10s PARALLELIZED LOOPS DIVERGED BITWISE FROM THE SEQUENTIAL \
@@ -492,12 +485,7 @@ let run_exec () =
         let sweep_engines =
           List.map
             (fun d ->
-              let e =
-                Engine.prepare ~parallel:true ~domains:d
-                  ~loop_grain:config.Config.loop_grain
-                  ~kernel_grain:config.Config.kernel_grain
-                  ~cache:config.Config.cache fg ~inputs
-              in
+              let e = prepare ~domains:d ~parallel:true fg ~inputs in
               let out = Engine.run e args in
               let s = Engine.stats e in
               if not (equal out) then begin
@@ -507,7 +495,7 @@ let run_exec () =
               end
               else if
                 s.Scheduler.last_parallel_loops > 0
-                && not (tensors_bitwise seq_ref out)
+                && not (bitwise seq_ref out)
               then begin
                 ok := false;
                 Printf.printf

@@ -111,10 +111,9 @@ let () =
   let fg = Graph.clone g in
   ignore (Passes.tensorssa_pipeline fg);
   let eng =
-    Engine.prepare ~parallel:false ~domains:config.Config.domains
-      ~loop_grain:config.Config.loop_grain
-      ~kernel_grain:config.Config.kernel_grain ~cache:false ~jit:Jit.Auto
-      ~jit_dir:config.Config.jit_dir fg ~inputs:(Engine.input_shapes args)
+    Engine.prepare ~parallel:false ~domains:config.Config.domains ~cache:false
+      ~jit:Jit.Auto ~jit_dir:config.Config.jit_dir fg
+      ~inputs:(Engine.input_shapes args)
   in
   let runs = 40 in
   Journal.enable ();

@@ -195,8 +195,6 @@ let run_trace (w : Workload.t) (profile : Compiler_profile.t) batch seq =
 
 let prepare_engine ?(profile = Compiler_profile.tensorssa) g args =
   Engine.prepare ~profile ~domains:config.Config.domains
-    ~loop_grain:config.Config.loop_grain
-    ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache
     ~jit:config.Config.jit ~jit_dir:config.Config.jit_dir g
     ~inputs:(Engine.input_shapes args)
 
@@ -240,7 +238,7 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
     let c = Compiler_profile.cache_snapshot () in
     Printf.printf "cache      : %d hits, %d misses, %d evictions (%d resident)\n"
       c.Compiler_profile.cache_hits c.Compiler_profile.cache_misses
-      c.Compiler_profile.cache_evictions (Engine.cache_size ());
+      c.Compiler_profile.cache_evictions (Engine.cache_entries ());
     Printf.printf "reference  : outputs MATCH the eager semantics\n";
     `Ok ()
   end

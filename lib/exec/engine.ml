@@ -19,15 +19,10 @@ type t = {
    engine never reads the environment.  The FUNCTS_* knobs are parsed and
    validated once by the serving layer's [Config.of_env]; callers pass
    the resulting values explicitly (or [Config.apply] pushes the two
-   process-wide cache settings through the setters below). *)
+   process-wide JIT settings through the setters below). *)
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
-let default_loop_grain () = 2
-let default_kernel_grain () = 8192
-
-let cache_default = ref true
 let cache_capacity_ref = ref 32
-let set_cache_default on = cache_default := on
 let set_cache_capacity n = cache_capacity_ref := max 1 n
 let cache_capacity () = !cache_capacity_ref
 
@@ -47,8 +42,7 @@ let input_shapes args =
 
 (* --- build (the uncached path) --- *)
 
-let build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir
-    (g : Graph.t) ~inputs =
+let build ~profile ~parallel ~domains ~jit ~jit_dir (g : Graph.t) ~inputs =
   Tracer.span_args "engine.build"
     ~args:(fun () ->
       [ ("graph", g.Graph.g_name); ("profile", profile.Compiler_profile.short_name) ])
@@ -59,15 +53,15 @@ let build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir
       in
       let pool = Pool.shared ~lanes:domains in
       let prepared =
-        Scheduler.prepare ~parallel ~domains ~pool ~loop_grain ~kernel_grain
-          ~jit ~jit_dir ~graph:g ~shapes ~plan
+        Scheduler.prepare ~parallel ~domains ~pool ~jit ~jit_dir ~graph:g
+          ~shapes ~plan
       in
       { e_graph = g; e_prepared = prepared; e_lock = Mutex.create () })
 
 (* --- compile cache ---
 
    Keyed by everything [build] depends on: the compiler profile, the
-   parallel/domains/grain configuration, the input shape signature, and
+   parallel/domains/JIT configuration, the input shape signature, and
    the printed graph (the printer is a lossless round-trip format, so
    equal prints mean equal programs).  Entries are evicted LRU by a
    monotonic tick; an evicted engine's parked buffers are dropped so dead
@@ -118,15 +112,12 @@ let graph_digest (g : Graph.t) =
       digest_memo := (g, d) :: keep;
       d
 
-let cache_key ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit
-    ~jit_dir g ~inputs =
+let cache_key ~profile ~parallel ~domains ~jit ~jit_dir g ~inputs =
   String.concat "|"
     [
       profile.Compiler_profile.short_name;
       string_of_bool parallel;
       string_of_int domains;
-      string_of_int loop_grain;
-      string_of_int kernel_grain;
       Jit.mode_to_string jit;
       jit_dir;
       shape_sig inputs;
@@ -166,30 +157,18 @@ let clear_cache () =
       Hashtbl.iter (fun _ e -> quiesce_and_clear e.c_engine) cache_tbl;
       Hashtbl.reset cache_tbl)
 
-let cache_size () = cache_locked (fun () -> Hashtbl.length cache_tbl)
+let cache_entries () = cache_locked (fun () -> Hashtbl.length cache_tbl)
 
 let prepare ?(profile = Compiler_profile.tensorssa) ?(parallel = true) ?domains
-    ?loop_grain ?kernel_grain ?cache ?jit ?jit_dir (g : Graph.t) ~inputs =
+    ?(cache = true) ?jit ?jit_dir (g : Graph.t) ~inputs =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
   let jit = match jit with Some m -> m | None -> !jit_default in
   let jit_dir = match jit_dir with Some d -> d | None -> !jit_dir_default in
-  let loop_grain =
-    match loop_grain with Some g -> max 1 g | None -> default_loop_grain ()
-  in
-  let kernel_grain =
-    match kernel_grain with
-    | Some g -> max 1 g
-    | None -> default_kernel_grain ()
-  in
-  let cache = match cache with Some c -> c | None -> !cache_default in
   if cache then
     cache_locked (fun () ->
-        let key =
-          cache_key ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit
-            ~jit_dir g ~inputs
-        in
+        let key = cache_key ~profile ~parallel ~domains ~jit ~jit_dir g ~inputs in
         match Hashtbl.find_opt cache_tbl key with
         | Some e ->
             incr cache_tick;
@@ -200,19 +179,14 @@ let prepare ?(profile = Compiler_profile.tensorssa) ?(parallel = true) ?domains
         | None ->
             Compiler_profile.cache_miss ();
             Tracer.instant "engine.cache.miss";
-            let t =
-              build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit
-                ~jit_dir g ~inputs
-            in
+            let t = build ~profile ~parallel ~domains ~jit ~jit_dir g ~inputs in
             while Hashtbl.length cache_tbl >= cache_capacity () do
               evict_one ()
             done;
             incr cache_tick;
             Hashtbl.replace cache_tbl key { c_engine = t; c_tick = !cache_tick };
             t)
-  else
-    build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir g
-      ~inputs
+  else build ~profile ~parallel ~domains ~jit ~jit_dir g ~inputs
 
 let run t args =
   Mutex.lock t.e_lock;

@@ -20,8 +20,6 @@ val prepare :
   ?profile:Compiler_profile.t ->
   ?parallel:bool ->
   ?domains:int ->
-  ?loop_grain:int ->
-  ?kernel_grain:int ->
   ?cache:bool ->
   ?jit:Functs_jit.Jit.mode ->
   ?jit_dir:string ->
@@ -32,10 +30,9 @@ val prepare :
     (default [true]) enables horizontal loop dispatch; [domains] defaults
     to [Domain.recommended_domain_count ()].  Worker domains come from a
     process-wide {!Pool.shared} pool, created once per lane count and
-    reused by every engine.  [loop_grain] (default 2) is the minimum trip
-    count before a horizontal loop dispatches in parallel; [kernel_grain]
-    (default 8192) the element threshold for intra-kernel chunking.
-    [inputs] are shape hints for the graph parameters ([None] for
+    reused by every engine.  A horizontal loop dispatches in parallel
+    when its trip count exceeds 1; kernels chunk across the pool above
+    {!Fastops.grain} elements.  [inputs] are shape hints for the graph parameters ([None] for
     scalars), as for {!Shape_infer.infer}.
 
     The engine never reads the environment: the FUNCTS_* knobs are
@@ -43,12 +40,12 @@ val prepare :
     explicitly (sessions, the CLI and the bench all do).
 
     Results are memoized in a process-wide compile cache keyed by the
-    profile, the parallel/domains/grain configuration, the input shape
+    profile, the parallel/domains/JIT configuration, the input shape
     signature, and the graph's printed form: a second [prepare] of the
     same program with the same shapes returns the already-lowered engine
     (slot frames, native kernels, buffer pool) without recompiling.
-    [cache] defaults to the process-wide setting ({!set_cache_default},
-    [true] initially); pass [~cache:false] to bypass for one call.
+    [cache] (default [true]) set to [false] bypasses the cache for one
+    call: the engine is built afresh and not stored.
     [jit] (default: the process-wide {!set_jit_default} setting,
     initially [Off]) arms fused groups with native code via
     {!Functs_jit.Jit} — with it off, every group runs per node; [jit_dir] is the artifact-cache directory
@@ -99,18 +96,12 @@ val clear_cache : unit -> unit
     [engine.cache.*] counters are not reset — use
     {!Compiler_profile.reset_compile_cache}. *)
 
-val cache_size : unit -> int
+val cache_entries : unit -> int
 (** Entries currently resident. *)
-
-val set_cache_default : bool -> unit
-(** Process-wide default for [prepare]'s [?cache] argument (initially
-    [true]).  [Config.apply] pushes the validated [FUNCTS_CACHE] setting
-    through this. *)
 
 val set_cache_capacity : int -> unit
 (** Resident-entry capacity before LRU eviction (clamped to ≥ 1;
-    initially 32).  [Config.apply] pushes [FUNCTS_CACHE_SIZE] through
-    this. *)
+    initially 32). *)
 
 val cache_capacity : unit -> int
 

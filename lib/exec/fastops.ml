@@ -25,8 +25,9 @@ let data (t : Tensor.t) = Storage.data t.Tensor.storage
    nested dispatch from a pool worker degrades to sequential inside
    {!Pool.parallel_for}. *)
 
+let grain = 8192
 let par_pool : Pool.t option ref = ref None
-let par_grain = ref 8192
+let par_grain = ref grain
 
 let set_parallel pool ~grain =
   par_pool := pool;

@@ -13,6 +13,10 @@ open Functs_ir
 open Functs_tensor
 open Functs_interp
 
+val grain : int
+(** Elements per intra-kernel chunk (8192): the grain the scheduler binds
+    through {!set_parallel} and passes to native kernel launches. *)
+
 val set_parallel : Pool.t option -> grain:int -> unit
 (** Enable intra-kernel data parallelism: operators whose output exceeds
     two [grain]s of elements chunk their outer dimension across the pool

@@ -157,10 +157,8 @@ let inline_runs_c = Functs_obs.Metrics.counter "pool.inline_runs"
 
    Task granularity targets [chunk_bytes] of traffic per task so a
    chunk's working set stays cache-resident.  Probed once from sysfs
-   (half the L2 of cpu0 — the private cache a lane effectively owns),
-   overridable through [set_chunk_bytes] ([Config.of_env] wires
-   FUNCTS_CHUNK_BYTES to it; this module never reads the
-   environment). *)
+   (half the L2 of cpu0 — the private cache a lane effectively owns);
+   [set_chunk_bytes] overrides it for tests and budget sweeps. *)
 
 let parse_cache_size s =
   let s = String.trim s in

@@ -13,8 +13,8 @@
 
     Task granularity is cache-aware: with a [bytes_per_iter] hint, each
     task covers roughly {!chunk_bytes} of memory traffic (probed once
-    from cpu0's L2 in sysfs, overridable via {!set_chunk_bytes} —
-    [Config.of_env] wires [FUNCTS_CHUNK_BYTES] to it), floored by the
+    from cpu0's L2 in sysfs, overridable via {!set_chunk_bytes}),
+    floored by the
     caller's [grain] and capped so every lane still sees several
     stealable tasks.
 
@@ -76,8 +76,8 @@ val shutdown : t -> unit
 
 val set_chunk_bytes : int -> unit
 (** Override the process-wide per-task cache budget in bytes ([0]
-    restores the probed default).  Called by [Config.apply] with the
-    validated [FUNCTS_CHUNK_BYTES] value. *)
+    restores the probed default) — for tests and budget sweeps; nothing
+    in the stack calls it. *)
 
 val chunk_bytes : unit -> int
 (** The effective per-task cache budget: the {!set_chunk_bytes} override

@@ -275,8 +275,6 @@ type prepared = {
   p_domains : int;
   p_pool : Buffer_plan.pool;
   p_exec_pool : Pool.t;  (* persistent domain pool shared by all dispatches *)
-  p_loop_grain : int;  (* minimum trip count before a loop dispatches *)
-  p_kernel_grain : int;  (* elements per chunk for intra-kernel splits *)
   p_engine : int;  (* process-unique engine id, tags journal records *)
   mutable s_kernel_runs : int;
   mutable s_jit_fallbacks : int;
@@ -558,7 +556,7 @@ let run_group rs scope gid g =
                      ~n body))
           else None
         in
-        Jit.run ?par ~grain:rs.p.p_kernel_grain g.g_native ~alloc
+        Jit.run ?par ~grain:Fastops.grain g.g_native ~alloc
           ~lookup:(tensor_lookup rs) ~scalar:(scalar_lookup rs))
   with
   | results -> bind_group_results rs scope gid g.g_members results
@@ -672,7 +670,6 @@ and exec_loop rs ~scope (inst : inst) =
       let lplan =
         if
           rs.live && rs.p.p_parallel && rs.p.p_domains > 1 && trip > 1
-          && trip >= rs.p.p_loop_grain
         then
           match Hashtbl.find_opt rs.p.p_lplans inst.i_node.n_id with
           | Some lp
@@ -973,8 +970,8 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
 
 let engine_ids = Atomic.make 1
 
-let prepare ~parallel ~domains ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
-    ~jit_dir ~graph ~shapes ~plan =
+let prepare ~parallel ~domains ~pool:exec_pool ~jit ~jit_dir ~graph ~shapes
+    ~plan =
   Metrics.incr prepares_c;
   let engine = Atomic.fetch_and_add engine_ids 1 in
   Tracer.span_args "scheduler.prepare"
@@ -1289,8 +1286,6 @@ let prepare ~parallel ~domains ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     p_domains = domains;
     p_pool = Buffer_plan.create_pool ();
     p_exec_pool = exec_pool;
-    p_loop_grain = max 1 loop_grain;
-    p_kernel_grain = max 1 kernel_grain;
     p_engine = engine;
     s_kernel_runs = 0;
     s_jit_fallbacks = 0;
@@ -1353,7 +1348,7 @@ let run p args =
      plain ref is enough. *)
   Fastops.set_parallel
     (if p.p_parallel then Some p.p_exec_pool else None)
-    ~grain:p.p_kernel_grain;
+    ~grain:Fastops.grain;
   let rs =
     {
       vals = Array.make p.p_nslots None;

@@ -41,8 +41,6 @@ val prepare :
   parallel:bool ->
   domains:int ->
   pool:Pool.t ->
-  loop_grain:int ->
-  kernel_grain:int ->
   jit:Functs_jit.Jit.mode ->
   jit_dir:string ->
   graph:Graph.t ->
@@ -52,9 +50,9 @@ val prepare :
 (** Compile the plan's kernels and the liveness table.  [graph] must stay
     unmodified for the lifetime of the result.  [pool] is the persistent
     worker pool every dispatch goes through (the scheduler never spawns
-    domains itself); [loop_grain] is the minimum trip count before a
-    horizontal loop dispatches in parallel, [kernel_grain] the per-chunk
-    element count for intra-kernel splits.  [jit] arms fused groups with
+    domains itself); a horizontal loop dispatches in parallel when its
+    trip count exceeds 1, and intra-kernel splits chunk by
+    {!Fastops.grain} elements.  [jit] arms fused groups with
     native code compiled through {!Functs_jit.Jit} (artifacts cached
     under [jit_dir], [""] = temp-dir default); arming failures leave the
     group per node and never raise. *)

@@ -55,11 +55,13 @@ open Codegen
    spelled out exactly as OCaml's [Float.max]/[Float.min]/[Float.equal]
    (stdlib float.ml), so NaN propagation (which operand's payload wins)
    and signed zeros match the interpreter bit for bit; C's
-   fmax/fmin/[==] do not.  [`Max] reductions fold from [-inf] with the
-   same [Float.max] in ascending order.  NaN literals are emitted by bit
-   pattern.  Neg, Abs, Exp, Log, Sqrt, Tanh, Pow, Sigmoid, Add, Sub, Mul,
-   Div, Lt and Gt map to the same libm symbols / IEEE operations the
-   interpreter uses. *)
+   fmax/fmin/[==] do not.  Add and Mul feed a NaN first operand to both
+   sides, so the first operand's payload wins as in OCaml even where
+   GCC commutes them.  [`Max] reductions fold from [-inf] with the same
+   [Float.max] in ascending order.  NaN literals are emitted by bit
+   pattern.  Neg, Abs, Exp, Log, Sqrt, Tanh, Pow, Sigmoid, Sub, Div, Lt
+   and Gt map to the same libm symbols / IEEE operations the interpreter
+   uses. *)
 
 exception Reject of string
 
@@ -160,6 +162,7 @@ let float_equal x y =
     "({ const double x_ = %s, y_ = %s; (x_ == y_ || (x_ != x_ && y_ != \
      y_)) ? 1.0 : 0.0; })"
     x y
+
 
 (* Kernel-wide launch layout, grown as the walk discovers read sites,
    statement outputs and free scalars. *)
@@ -462,6 +465,23 @@ let emit_cond env (c : Codegen.cond) : inner:string -> string =
       fun ~inner ->
         Printf.sprintf "(((%s - %s) %% %d) == 0)" (ra ~inner) (rb ~inner) s
 
+(* OCaml's [x +. y] / [x *. y]: when both operands are NaN the result
+   carries the first one's payload.  C lets GCC commute [+] and [*] (it
+   does, in vectorised loops), so a NaN [x] is fed to both sides — the
+   spelling of [gemm_stubs.c]'s [NAN_FIRST], which still vectorises.
+   Two unguarded reads or literals have no effects, so they are repeated
+   as text (GCC compiles that faster than temporaries); other operands
+   are each evaluated once, as in the plain operator. *)
+let nan_first env op (x : Codegen.cexpr) (y : Codegen.cexpr) sx sy =
+  let leaf = function Clit _ | Cread _ -> not env.guarded | _ -> false in
+  if leaf x && leaf y then fun ~inner ~fast ->
+    let a = sx ~inner ~fast in
+    Printf.sprintf "(%s %s (%s != %s ? %s : %s))" a op a a a (sy ~inner ~fast)
+  else fun ~inner ~fast ->
+    Printf.sprintf
+      "({ const double x_ = %s, y_ = %s; x_ %s (x_ != x_ ? x_ : y_); })"
+      (sx ~inner ~fast) (sy ~inner ~fast) op
+
 let rec emit_expr env (e : Codegen.cexpr) : render =
   match e with
   | Clit f ->
@@ -491,9 +511,9 @@ let rec emit_expr env (e : Codegen.cexpr) : render =
       in
       let call f ~inner ~fast = f (sx ~inner ~fast) (sy ~inner ~fast) in
       match b with
-      | Scalar.Add -> wrap "(%s + %s)"
+      | Scalar.Add -> nan_first env "+" x y sx sy
       | Scalar.Sub -> wrap "(%s - %s)"
-      | Scalar.Mul -> wrap "(%s * %s)"
+      | Scalar.Mul -> nan_first env "*" x y sx sy
       | Scalar.Div -> wrap "(%s / %s)"
       | Scalar.Pow -> wrap "pow(%s, %s)"
       | Scalar.Lt -> wrap "((%s < %s) ? 1.0 : 0.0)"

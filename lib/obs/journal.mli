@@ -11,9 +11,10 @@
     detail-string construction on {!enabled}.
 
     On by default (budgeted in [bench/obs_overhead.ml]; the always-on
-    cost is gated ≤ 2% in check.sh).  [FUNCTS_JOURNAL=0] /
-    [FUNCTS_JOURNAL_BUF] are parsed by the serving layer's
-    [Config.of_env], which calls {!disable} / {!set_capacity}. *)
+    cost is gated ≤ 2% in check.sh).  [FUNCTS_JOURNAL=0] is parsed by
+    the serving layer's [Config.of_env]; [Config.apply] calls
+    {!disable}.  The ring keeps its default capacity unless code calls
+    {!set_capacity}. *)
 
 type kind =
   | Tuner_sample  (** one arm's min-of-N sample completed *)

@@ -16,10 +16,10 @@
     tracing.
 
     Enabling: {!enable} (the CLI's [--trace FILE] does this).  The
-    tracer itself never reads the environment — the [FUNCTS_TRACE] /
-    [FUNCTS_TRACE_BUF] knobs are parsed and validated by the serving
-    layer's [Config.of_env], which calls {!enable} / {!set_capacity}
-    explicitly and registers the exit dump.
+    tracer itself never reads the environment — the [FUNCTS_TRACE] knob
+    is parsed and validated by the serving layer's [Config.of_env], and
+    [Config.apply] calls {!enable} and registers the exit dump.  The
+    ring keeps its default capacity unless code calls {!set_capacity}.
 
     The export ({!to_chrome}/{!write_chrome}) is Chrome trace-event
     JSON: load it in Perfetto ({:https://ui.perfetto.dev}) or

@@ -10,47 +10,29 @@ type policy = [ `Interp_fallback | `Shed ]
 
 type t = {
   domains : int;
-  loop_grain : int;
-  kernel_grain : int;
-  chunk_bytes : int;  (* per-task cache budget; 0 probes sysfs *)
-  cache : bool;
-  cache_size : int;
   jit : Jit.mode;
   jit_dir : string;
   jit_cc : string;  (* JIT C compiler command; "" keeps the default *)
   trace : trace_sink;
-  trace_buf : int;
   metrics : metrics_sink;
   queue_capacity : int;
-  max_batch : int;
   batch_buckets : int list;  (* ascending, unique, first element 1 *)
-  shards : int;  (* max dispatcher domains per session *)
   policy : policy;
   journal : bool;  (* decision journal (on by default; rare records) *)
-  journal_buf : int;  (* journal ring capacity *)
 }
 
 let default =
   {
     domains = max 1 (Domain.recommended_domain_count ());
-    loop_grain = 2;
-    kernel_grain = 8192;
-    chunk_bytes = 0;
-    cache = true;
-    cache_size = 32;
     jit = Jit.Off;
     jit_dir = "";
     jit_cc = "";
     trace = Trace_off;
-    trace_buf = 65536;
     metrics = Metrics_off;
     queue_capacity = 256;
-    max_batch = 8;
     batch_buckets = [ 1; 4; 16 ];
-    shards = 1;
     policy = `Interp_fallback;
     journal = true;
-    journal_buf = 4096;
   }
 
 (* --- the single sanctioned FUNCTS_* parser ---
@@ -73,11 +55,10 @@ let fold_env getenv init steps =
           | Some raw -> step cfg key (String.trim raw)))
     (Ok init) steps
 
-let pos_int ~min_value set cfg key v =
+let pos_int set cfg key v =
   match int_of_string_opt v with
-  | Some n when n >= min_value -> Ok (set cfg n)
-  | Some _ ->
-      invalid key v (Printf.sprintf "must be an integer >= %d" min_value)
+  | Some n when n >= 1 -> Ok (set cfg n)
+  | Some _ -> invalid key v "must be an integer >= 1"
   | None -> invalid key v "not an integer"
 
 let bool_flag set cfg key v =
@@ -153,37 +134,52 @@ let policy_of cfg key v =
   | "shed" -> Ok { cfg with policy = `Shed }
   | _ -> invalid key v "expected interp_fallback or shed"
 
+(* Variables that used to select a setting no caller changed.  Setting
+   one is an error rather than a no-op, so a deployment that still sets
+   it learns what took its place. *)
+let retired =
+  [
+    ("FUNCTS_GRAIN", "retired: a loop batches whenever its trip count is > 1");
+    ( "FUNCTS_KERNEL_GRAIN",
+      "retired: intra-kernel chunking uses the fixed Fastops.grain (8192)" );
+    ( "FUNCTS_CHUNK_BYTES",
+      "retired: the pool sizes tasks from the probed L2 size \
+       (Pool.set_chunk_bytes overrides it in code)" );
+    ( "FUNCTS_CACHE",
+      "retired: the compile cache is always on (Engine.prepare ~cache:false \
+       bypasses it per call)" );
+    ( "FUNCTS_CACHE_SIZE",
+      "retired: the compile cache holds 32 engines \
+       (Engine.set_cache_capacity changes it in code)" );
+    ( "FUNCTS_MAX_BATCH",
+      "retired: a dispatch takes up to the largest compiled batch bucket" );
+    ("FUNCTS_SHARDS", "retired: each session runs one dispatcher domain");
+    ( "FUNCTS_TRACE_BUF",
+      "retired: the tracer ring holds 65536 events \
+       (Tracer.set_capacity changes it in code)" );
+    ( "FUNCTS_JOURNAL_BUF",
+      "retired: the journal ring holds 4096 entries \
+       (Journal.set_capacity changes it in code)" );
+  ]
+
 let of_env ?(base = default) ?(getenv = Sys.getenv_opt) () =
   Result.map (resolve_jit_dir getenv)
   @@ fold_env getenv base
-       [
-      ("FUNCTS_DOMAINS", pos_int ~min_value:1 (fun c n -> { c with domains = n }));
-      ("FUNCTS_GRAIN", pos_int ~min_value:1 (fun c n -> { c with loop_grain = n }));
-      ( "FUNCTS_KERNEL_GRAIN",
-        pos_int ~min_value:1 (fun c n -> { c with kernel_grain = n }) );
-      ( "FUNCTS_CHUNK_BYTES",
-        pos_int ~min_value:0 (fun c n -> { c with chunk_bytes = n }) );
-      ("FUNCTS_CACHE", bool_flag (fun c b -> { c with cache = b }));
-      ( "FUNCTS_CACHE_SIZE",
-        pos_int ~min_value:1 (fun c n -> { c with cache_size = n }) );
-      ("FUNCTS_JIT", jit_mode);
-      ("FUNCTS_JIT_DIR", fun cfg _key v -> Ok { cfg with jit_dir = v });
-      ("FUNCTS_JIT_CC", fun cfg _key v -> Ok { cfg with jit_cc = v });
-      ("FUNCTS_TRACE", trace_sink);
-      ( "FUNCTS_TRACE_BUF",
-        pos_int ~min_value:16 (fun c n -> { c with trace_buf = n }) );
-      ("FUNCTS_METRICS", metrics_sink);
-      ( "FUNCTS_QUEUE",
-        pos_int ~min_value:1 (fun c n -> { c with queue_capacity = n }) );
-      ( "FUNCTS_MAX_BATCH",
-        pos_int ~min_value:1 (fun c n -> { c with max_batch = n }) );
-      ("FUNCTS_BATCH_BUCKETS", bucket_list);
-      ("FUNCTS_SHARDS", pos_int ~min_value:1 (fun c n -> { c with shards = n }));
-      ("FUNCTS_POLICY", policy_of);
-      ("FUNCTS_JOURNAL", bool_flag (fun c b -> { c with journal = b }));
-      ( "FUNCTS_JOURNAL_BUF",
-        pos_int ~min_value:16 (fun c n -> { c with journal_buf = n }) );
-    ]
+       (List.map
+          (fun (key, reason) -> (key, fun _cfg key v -> invalid key v reason))
+          retired
+       @ [
+           ("FUNCTS_DOMAINS", pos_int (fun c n -> { c with domains = n }));
+           ("FUNCTS_JIT", jit_mode);
+           ("FUNCTS_JIT_DIR", fun cfg _key v -> Ok { cfg with jit_dir = v });
+           ("FUNCTS_JIT_CC", fun cfg _key v -> Ok { cfg with jit_cc = v });
+           ("FUNCTS_TRACE", trace_sink);
+           ("FUNCTS_METRICS", metrics_sink);
+           ("FUNCTS_QUEUE", pos_int (fun c n -> { c with queue_capacity = n }));
+           ("FUNCTS_BATCH_BUCKETS", bucket_list);
+           ("FUNCTS_POLICY", policy_of);
+           ("FUNCTS_JOURNAL", bool_flag (fun c b -> { c with journal = b }));
+         ])
 
 (* --- apply: push process-wide pieces into their owners ---
 
@@ -218,18 +214,12 @@ let dump_trace () =
 
 let apply cfg =
   applied := cfg;
-  Engine.set_cache_default cfg.cache;
-  Engine.set_cache_capacity cfg.cache_size;
   Engine.set_jit_default cfg.jit;
   Engine.set_jit_dir_default cfg.jit_dir;
   if cfg.jit_cc <> "" then Jit.set_c_compiler cfg.jit_cc;
-  Functs_exec.Pool.set_chunk_bytes cfg.chunk_bytes;
-  if Tracer.capacity () <> cfg.trace_buf then Tracer.set_capacity cfg.trace_buf;
   (match cfg.trace with
   | Trace_off -> ()
   | Trace_on | Trace_file _ -> Tracer.enable ());
-  if Journal.capacity () <> cfg.journal_buf then
-    Journal.set_capacity cfg.journal_buf;
   if cfg.journal then Journal.enable () else Journal.disable ();
   if not !hooks_installed then begin
     hooks_installed := true;
@@ -251,30 +241,19 @@ let to_string cfg =
   String.concat "\n"
     [
       Printf.sprintf "domains        = %d" cfg.domains;
-      Printf.sprintf "loop_grain     = %d" cfg.loop_grain;
-      Printf.sprintf "kernel_grain   = %d" cfg.kernel_grain;
-      Printf.sprintf "chunk_bytes    = %s"
-        (if cfg.chunk_bytes = 0 then "(auto)"
-         else string_of_int cfg.chunk_bytes);
-      Printf.sprintf "cache          = %b" cfg.cache;
-      Printf.sprintf "cache_size     = %d" cfg.cache_size;
       Printf.sprintf "jit            = %s" (Jit.mode_to_string cfg.jit);
       Printf.sprintf "jit_dir        = %s"
         (if cfg.jit_dir = "" then "(temp)" else cfg.jit_dir);
       Printf.sprintf "jit_cc         = %s"
         (if cfg.jit_cc = "" then "(default)" else cfg.jit_cc);
       Printf.sprintf "trace          = %s" (sink cfg.trace);
-      Printf.sprintf "trace_buf      = %d" cfg.trace_buf;
       Printf.sprintf "metrics        = %s" (msink cfg.metrics);
       Printf.sprintf "queue_capacity = %d" cfg.queue_capacity;
-      Printf.sprintf "max_batch      = %d" cfg.max_batch;
       Printf.sprintf "batch_buckets  = %s"
         (String.concat "," (List.map string_of_int cfg.batch_buckets));
-      Printf.sprintf "shards         = %d" cfg.shards;
       Printf.sprintf "policy         = %s"
         (match cfg.policy with
         | `Interp_fallback -> "interp_fallback"
         | `Shed -> "shed");
       Printf.sprintf "journal        = %b" cfg.journal;
-      Printf.sprintf "journal_buf    = %d" cfg.journal_buf;
     ]

@@ -1,5 +1,5 @@
-(** Typed configuration for the whole stack — engine, pool sizing,
-    compile cache, observability and the serving layer — replacing the
+(** Typed configuration for the whole stack — engine lanes, the native
+    JIT, observability and the serving layer — replacing the
     ad-hoc [FUNCTS_*] reads that used to be scattered across [Engine],
     [Tracer] and [Metrics].
 
@@ -12,9 +12,9 @@
 
     A config does nothing until used: pass it to [Session.create] /
     [Functs.compile] for per-session knobs, and call {!apply} once at
-    startup to push the process-wide pieces (compile-cache capacity and
-    default, tracer ring size, trace/metrics exit sinks) into the layers
-    that own them. *)
+    startup to push the process-wide pieces (JIT defaults, tracer and
+    journal enablement, trace/metrics exit sinks) into the layers that
+    own them. *)
 
 type trace_sink =
   | Trace_off
@@ -38,62 +38,44 @@ type policy = [ `Interp_fallback | `Shed ]
 
 type t = {
   domains : int;  (** worker lanes in the shared domain pool (≥ 1) *)
-  loop_grain : int;  (** min trip count before horizontal dispatch *)
-  kernel_grain : int;  (** elements per intra-kernel chunk *)
-  chunk_bytes : int;
-      (** per-task cache budget for the pool's cost-model chunking;
-          [0] (the default) probes cpu0's L2 size from sysfs *)
-  cache : bool;  (** compile cache on/off *)
-  cache_size : int;  (** resident compile-cache entries (LRU) *)
-  jit : Functs_jit.Jit.mode;
-      (** native JIT backend: off / on / auto *)
+  jit : Functs_jit.Jit.mode;  (** native JIT backend: off / auto *)
   jit_dir : string;
       (** on-disk JIT artifact cache; [""] = engine temp-dir fallback *)
   jit_cc : string;
       (** JIT C compiler command ([FUNCTS_JIT_CC]); [""] keeps the
           default ([cc]) *)
   trace : trace_sink;
-  trace_buf : int;  (** span-tracer ring capacity (≥ 16) *)
   metrics : metrics_sink;
   queue_capacity : int;  (** session submit-queue bound (≥ 1) *)
-  max_batch : int;  (** max same-shape requests per dispatch (≥ 1) *)
   batch_buckets : int list;
       (** batched-compile bucket sizes, strictly ascending and starting
           at 1 (e.g. [[1; 4; 16]]); a session compiles one engine per
-          bucket for batchable workloads and decomposes each dispatch
-          greedily into the largest buckets that fit *)
-  shards : int;
-      (** max dispatcher domains per session (≥ 1); extra shards spin up
-          when queue depth grows past the hot-session threshold *)
+          bucket for batchable workloads, pops up to the largest
+          compiled bucket per dispatch and decomposes it greedily into
+          the largest buckets that fit *)
   policy : policy;
   journal : bool;  (** decision journal (on by default — records are rare) *)
-  journal_buf : int;  (** journal ring capacity (≥ 16) *)
 }
+(** The first four fields are deployment settings (where artifacts live,
+    which compiler, where traces and metrics go); the rest select
+    behaviour that some caller really runs with a non-default value. *)
 
 val default : t
-(** [domains = Domain.recommended_domain_count ()], [loop_grain = 2],
-    [kernel_grain = 8192], cache on with 32 entries, JIT off with an
-    empty artifact dir, tracing and metrics off with a 65536-event ring,
-    [queue_capacity = 256], [max_batch = 8],
-    [batch_buckets = [1; 4; 16]], [shards = 1],
-    [policy = `Interp_fallback], journal on with a 4096-entry ring. *)
+(** [domains = Domain.recommended_domain_count ()], JIT off with an
+    empty artifact dir and the default compiler, tracing and metrics
+    off, [queue_capacity = 256], [batch_buckets = [1; 4; 16]],
+    [policy = `Interp_fallback], journal on. *)
 
 val of_env :
   ?base:t -> ?getenv:(string -> string option) -> unit -> (t, Error.t) result
 (** [base] (default {!default}) overlaid with the recognized
     environment variables:
 
-    - [FUNCTS_DOMAINS], [FUNCTS_GRAIN], [FUNCTS_KERNEL_GRAIN],
-      [FUNCTS_CACHE_SIZE], [FUNCTS_QUEUE], [FUNCTS_MAX_BATCH],
-      [FUNCTS_SHARDS] — positive integers ([FUNCTS_TRACE_BUF] and
-      [FUNCTS_JOURNAL_BUF] additionally ≥ 16);
+    - [FUNCTS_DOMAINS], [FUNCTS_QUEUE] — positive integers;
     - [FUNCTS_BATCH_BUCKETS] — comma-separated bucket sizes, strictly
       ascending, first element 1 (e.g. [1,4,16]);
-    - [FUNCTS_JOURNAL] — decision-journal on/off (default on);
-    - [FUNCTS_CHUNK_BYTES] — per-task cache budget in bytes for the
-      parallel runtime's chunk cost model; [0] (default) probes the
-      machine's L2 size from sysfs;
-    - [FUNCTS_CACHE] — [on]/[off]/[1]/[0]/[true]/[false]/[yes]/[no];
+    - [FUNCTS_JOURNAL] — decision-journal on/off (or 1/0, true/false,
+      yes/no; default on);
     - [FUNCTS_TRACE] — [off] forms, [on]/[1]/[true], or an output path;
     - [FUNCTS_METRICS] — [off] forms, [stderr]/[on]/[1], or a path;
     - [FUNCTS_POLICY] — [interp]/[interp_fallback] or [shed];
@@ -102,22 +84,25 @@ val of_env :
       group to per-node execution on any failure);
     - [FUNCTS_JIT_DIR] — JIT artifact-cache directory.  When unset the
       directory follows cache conventions: [$XDG_CACHE_HOME/functs/jit],
-      else [$HOME/.cache/functs/jit], else a temp-dir fallback.
+      else [$HOME/.cache/functs/jit], else a temp-dir fallback;
+    - [FUNCTS_JIT_CC] — the C compiler command for the JIT.
 
     Malformed values are {e rejected} with
     [Error (Invalid_config {key; value; reason})] — never a silent
-    fallback.  An unset or empty variable leaves the base value (empty
-    means "unset" because [Unix.putenv] cannot remove a variable).
-    [getenv] (default [Sys.getenv_opt]) exists for tests. *)
+    fallback.  So are the retired variables [FUNCTS_GRAIN],
+    [FUNCTS_KERNEL_GRAIN], [FUNCTS_CHUNK_BYTES], [FUNCTS_CACHE],
+    [FUNCTS_CACHE_SIZE], [FUNCTS_MAX_BATCH], [FUNCTS_SHARDS],
+    [FUNCTS_TRACE_BUF] and [FUNCTS_JOURNAL_BUF], whatever their value;
+    the reason names what replaced them.  An unset or empty variable
+    leaves the base value (empty means "unset" because [Unix.putenv]
+    cannot remove a variable).  [getenv] (default [Sys.getenv_opt])
+    exists for tests. *)
 
 val apply : t -> unit
-(** Push the process-wide settings where they live: compile-cache
-    default and capacity ([Engine.set_cache_default] /
-    [set_cache_capacity]), JIT default mode and artifact dir
-    ([Engine.set_jit_default] / [set_jit_dir_default]), the JIT C
-    compiler override ([Jit.set_c_compiler], when set), tracer ring
-    capacity, tracer enablement, journal ring capacity and enablement,
-    and the trace / metrics exit dumps.  Idempotent per process — the
+(** Push the process-wide settings where they live: JIT default mode and
+    artifact dir ([Engine.set_jit_default] / [set_jit_dir_default]), the
+    JIT C compiler override ([Jit.set_c_compiler], when set), tracer
+    enablement, journal enablement, and the trace / metrics exit dumps.  Idempotent per process — the
     exit hooks are registered once and follow the most recently applied
     config. *)
 

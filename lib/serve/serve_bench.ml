@@ -217,7 +217,6 @@ let json_of_result r =
         Json.Obj (List.map (fun (s, h) -> (s, json_of_stage h)) r.sb_stages) );
       ("batch_buckets", json_of_buckets r);
       ("batched_runs", n (float_of_int r.sb_stats.Session.batched_runs));
-      ("shards", n (float_of_int r.sb_stats.Session.shards));
       ("overload_retries", n (float_of_int r.sb_overload_retries));
       ("warm_cache_hits", n (float_of_int r.sb_warm_hits));
       ("warm_cache_misses", n (float_of_int r.sb_warm_misses));
@@ -288,9 +287,8 @@ let to_text r =
      ]
     @ List.map stage_line r.sb_stages
     @ [
-        Printf.sprintf "  buckets    : %s (%d batched runs, %d shards)"
-          bucket_text r.sb_stats.Session.batched_runs
-          r.sb_stats.Session.shards;
+        Printf.sprintf "  buckets    : %s (%d batched runs)" bucket_text
+          r.sb_stats.Session.batched_runs;
         Printf.sprintf
           "  queue      : %d overload retries, max depth %d, %d batches"
           r.sb_overload_retries r.sb_stats.Session.max_queue_depth

@@ -36,7 +36,7 @@
                "stages": { "queue_wait": {"count":…, "p50_us":…, …},
                            "batch": …, "exec": …, "total": … },
                "batch_buckets": { "b1": …, "b4": …, "b16": … },
-               "batched_runs": …, "shards": …, "overload_retries": …,
+               "batched_runs": …, "overload_retries": …,
                "warm_cache_misses": 0, "warm_cache_hits": …,
                "batches": …, "max_queue_depth": …, "cancelled": …,
                "open_loop": [ { "target_rps": …, "achieved_rps": …,

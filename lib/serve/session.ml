@@ -49,7 +49,6 @@ type stats = {
   batches : int;
   batched_runs : int;
   bucket_runs : (int * int) list;
-  shards : int;
   max_queue_depth : int;
 }
 
@@ -65,7 +64,6 @@ let zero_stats =
     batches = 0;
     batched_runs = 0;
     bucket_runs = [];
-    shards = 1;
     max_queue_depth = 0;
   }
 
@@ -120,17 +118,6 @@ type bucket = {
   bk_inputs : Shape_infer.shape option list;
 }
 
-(* A dispatcher shard.  Shard 0 serves from the process-wide compile
-   cache (every probe is a warm hit — the [engine.cache.*] counters keep
-   proving the session never recompiles).  Extra shards own private
-   uncached engines: two shards sharing one cached engine would only
-   serialize on its run mutex, and [~cache:false] builds leave the LRU
-   cache and its hit/miss counters untouched. *)
-type shard = {
-  sh_cached : bool;
-  sh_local : (int, Engine.t) Hashtbl.t;  (* bucket size → private engine *)
-}
-
 type t = {
   s_config : Config.t;
   s_profile : Compiler_profile.t;
@@ -139,7 +126,8 @@ type t = {
   s_native_sig : string;  (* shape signature the buckets were compiled for *)
   s_batching : Workload.batching option;  (* None: serve at bucket 1 only *)
   s_buckets : bucket list;  (* descending size; always ends with size 1 *)
-  s_dispatch_limit : int;  (* same-shape requests popped per dispatch *)
+  s_dispatch_limit : int;  (* same-shape requests popped per dispatch:
+                              the largest compiled bucket *)
   s_bucket_counters : (int * Metrics.counter) list;
   s_lock : Mutex.t;
   s_wake : Condition.t;  (* queue became non-empty / state changed *)
@@ -149,7 +137,7 @@ type t = {
   mutable s_batch_broken : bool;  (* runtime demotion: batch runs misbehaved *)
   mutable s_last_bucket : int;  (* last journaled bucket choice; 0 = none *)
   mutable s_stats : stats;
-  mutable s_dispatchers : unit Domain.t list;
+  mutable s_dispatcher : unit Domain.t option;
   mutable s_engine : Engine.t option;
       (* most recently acquired engine — the shape-keyed cache may hand
          different engines per signature *)
@@ -265,14 +253,15 @@ let expire t tk =
 
 (* --- engines --- *)
 
-let prepare_engine t ?cache ~bucket graph ~inputs =
+(* Every probe goes through the process-wide compile cache and, after
+   [create] warmed the buckets, is a hit — the [engine.cache.*] counters
+   prove the session never recompiles. *)
+let prepare_engine t ~bucket graph ~inputs =
   let cfg = t.s_config in
   let eng =
     Engine.prepare ~profile:t.s_profile ~parallel:true
-      ~domains:cfg.Config.domains ~loop_grain:cfg.Config.loop_grain
-      ~kernel_grain:cfg.Config.kernel_grain
-      ~cache:(Option.value cache ~default:cfg.Config.cache)
-      ~jit:cfg.Config.jit ~jit_dir:cfg.Config.jit_dir graph ~inputs
+      ~domains:cfg.Config.domains ~jit:cfg.Config.jit
+      ~jit_dir:cfg.Config.jit_dir graph ~inputs
   in
   t.s_engine <- Some eng;
   locked t (fun () ->
@@ -285,21 +274,8 @@ let prepare_engine t ?cache ~bucket graph ~inputs =
 let engine_for t args =
   prepare_engine t ~bucket:0 t.s_graph ~inputs:(Engine.input_shapes args)
 
-let bucket_engine t sh bk =
-  if sh.sh_cached then
-    prepare_engine t ~bucket:bk.bk_size bk.bk_graph ~inputs:bk.bk_inputs
-  else
-    match Hashtbl.find_opt sh.sh_local bk.bk_size with
-    | Some eng ->
-        t.s_engine <- Some eng;
-        eng
-    | None ->
-        let eng =
-          prepare_engine t ~cache:false ~bucket:bk.bk_size bk.bk_graph
-            ~inputs:bk.bk_inputs
-        in
-        Hashtbl.add sh.sh_local bk.bk_size eng;
-        eng
+let bucket_engine t bk =
+  prepare_engine t ~bucket:bk.bk_size bk.bk_graph ~inputs:bk.bk_inputs
 
 (* --- batched scatter / gather --- *)
 
@@ -367,7 +343,7 @@ let gather (bx : Workload.batching) k outputs =
 
 (* --- the dispatcher ---
 
-   Per shard, one domain, one loop: wait for work, pop a same-shape run
+   One domain per session, one loop: wait for work, pop a same-shape run
    of requests, decompose it greedily into the largest compiled batch
    buckets that fit, scatter each bucket's inputs into one batched
    buffer, run the bucket engine once, and split the outputs back per
@@ -413,7 +389,7 @@ let rec split_at n = function
    a mis-declared axis tripping scatter/gather validation) degrades every
    member per policy; axis trouble additionally demotes the session to
    bucket-1 serving for good. *)
-let run_bucket t sh bx bk group =
+let run_bucket t bx bk group =
   let k = List.length group in
   count_run t k ~batched:true;
   Tracer.span_args "serve.bucket_run"
@@ -421,7 +397,7 @@ let run_bucket t sh bx bk group =
     (fun () ->
       match
         let batched_args = scatter bx group in
-        let eng = bucket_engine t sh bk in
+        let eng = bucket_engine t bk in
         let acquired = Unix.gettimeofday () in
         List.iter (fun tk -> tk.t_engine <- acquired) group;
         let outputs = Engine.run eng batched_args in
@@ -444,12 +420,12 @@ let run_bucket t sh bx bk group =
           in
           List.iter (fun tk -> degrade t tk (Error.Engine_failure m)) group)
 
-let run_singles t sh bk group =
+let run_singles t bk group =
   match group with
   | [] -> ()
   | _ -> (
       count_run t (List.length group) ~batched:false;
-      match bucket_engine t sh bk with
+      match bucket_engine t bk with
       | eng ->
           let acquired = Unix.gettimeofday () in
           List.iter (fun tk -> tk.t_engine <- acquired) group;
@@ -496,7 +472,7 @@ let split_expired t live =
    the remainder.  Deadlines are re-checked at every step, so a member
    whose deadline lapses while earlier buckets of the same dispatch run
    is degraded mid-bucket instead of riding a stale slot. *)
-let rec serve_buckets t sh bx group =
+let rec serve_buckets t bx group =
   match drop_cancelled t (split_expired t group) with
   | [] -> ()
   | live ->
@@ -508,11 +484,11 @@ let rec serve_buckets t sh bx group =
       in
       note_bucket t bk.bk_size ~live:n;
       let chunk, rest = split_at bk.bk_size live in
-      if bk.bk_size > 1 then run_bucket t sh bx bk chunk
-      else run_singles t sh bk chunk;
-      serve_buckets t sh bx rest
+      if bk.bk_size > 1 then run_bucket t bx bk chunk
+      else run_singles t bk chunk;
+      serve_buckets t bx rest
 
-let process_batch t sh = function
+let process_batch t = function
   | [] -> ()
   | first :: _ as batch ->
       let now = Unix.gettimeofday () in
@@ -536,7 +512,7 @@ let process_batch t sh = function
                     let mine, others =
                       List.partition (shared_compatible bx head) remaining
                     in
-                    serve_buckets t sh bx mine;
+                    serve_buckets t bx mine;
                     by_compat others
               in
               by_compat batch
@@ -557,7 +533,7 @@ let process_batch t sh = function
                         (fun tk -> degrade t tk (Error.Engine_failure m))
                         live)))
 
-let rec dispatch_loop t sh =
+let rec dispatch_loop t =
   let action =
     locked t (fun () ->
         while
@@ -590,10 +566,8 @@ let rec dispatch_loop t sh =
   match action with
   | `Exit -> ()
   | `Batch batch ->
-      process_batch t sh batch;
-      dispatch_loop t sh
-
-let make_shard ~cached = { sh_cached = cached; sh_local = Hashtbl.create 4 }
+      process_batch t batch;
+      dispatch_loop t
 
 (* --- bucket compilation (at create) --- *)
 
@@ -652,7 +626,7 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine =
             let inputs = Engine.input_shapes bucket_args in
             let bk = { bk_size = k; bk_graph = g; bk_inputs = inputs } in
             (* warm compile now, so steady-state dispatches never build *)
-            let eng = bucket_engine t (make_shard ~cached:true) bk in
+            let eng = bucket_engine t bk in
             if
               outputs_scale_ok bx ~factor:k ~base:base_out
                 ~bucket:(Engine.output_shapes eng)
@@ -697,7 +671,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
         s_native_sig = shape_signature native_args;
         s_batching = w.Workload.batching;
         s_buckets = [ base ];
-        s_dispatch_limit = config.Config.max_batch;
+        s_dispatch_limit = 1;
         s_bucket_counters = [];
         s_lock = Mutex.create ();
         s_wake = Condition.create ();
@@ -707,14 +681,14 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
         s_batch_broken = false;
         s_last_bucket = 0;
         s_stats = zero_stats;
-        s_dispatchers = [];
+        s_dispatcher = None;
         s_engine = None;
         s_engines = [];
       }
     in
     (* compile once, now: the session's native shapes go warm before the
        first submit, so steady-state submits are pure cache hits *)
-    let base_engine = bucket_engine t (make_shard ~cached:true) base in
+    let base_engine = bucket_engine t base in
     (try
        for _ = 1 to warmup_runs do
          ignore (Engine.run base_engine native_args)
@@ -734,7 +708,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
               {
                 t with
                 s_buckets = buckets;
-                s_dispatch_limit = max config.Config.max_batch largest;
+                s_dispatch_limit = largest;
                 s_bucket_counters =
                   List.map
                     (fun bk ->
@@ -744,8 +718,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
                     buckets;
               })
     in
-    t.s_dispatchers <-
-      [ Domain.spawn (fun () -> dispatch_loop t (make_shard ~cached:true)) ];
+    t.s_dispatcher <- Some (Domain.spawn (fun () -> dispatch_loop t));
     t
   with
   | t -> Ok t
@@ -798,27 +771,6 @@ let submit t { in_args = args; in_deadline_us = deadline_us } =
             Metrics.set g_queue_depth (float_of_int depth);
             if float_of_int depth > Metrics.gauge_value g_queue_peak then
               Metrics.set g_queue_peak (float_of_int depth);
-            (* scale out: a queue holding more than two full dispatch
-               rounds means the current shards can't keep up — spawn
-               another dispatcher with private engines, up to the
-               configured cap.  Spawned under the session lock, so close
-               (same lock) can never miss a join. *)
-            let live_shards = t.s_stats.shards in
-            if
-              depth > 2 * t.s_dispatch_limit
-              && live_shards < t.s_config.Config.shards
-              && not t.s_paused
-            then begin
-              t.s_stats <- { t.s_stats with shards = live_shards + 1 };
-              Journal.record Tuner_pin "serve.shards"
-                ~arm:(string_of_int (live_shards + 1))
-                ~detail:(Printf.sprintf "queue_depth=%d" depth)
-                ~value:(float_of_int depth);
-              t.s_dispatchers <-
-                Domain.spawn (fun () ->
-                    dispatch_loop t (make_shard ~cached:false))
-                :: t.s_dispatchers
-            end;
             (* arrow tail lives inside this submit span; the head is in
                the dispatcher's batch span on another domain *)
             Tracer.flow_start "serve.req" ~id:tk.t_id;
@@ -882,16 +834,16 @@ let resume t =
       Condition.broadcast t.s_wake)
 
 let close t =
-  let ds =
+  let d =
     locked t (fun () ->
         t.s_closing <- true;
         t.s_paused <- false;
         Condition.broadcast t.s_wake;
-        let ds = t.s_dispatchers in
-        t.s_dispatchers <- [];
-        ds)
+        let d = t.s_dispatcher in
+        t.s_dispatcher <- None;
+        d)
   in
-  List.iter Domain.join ds
+  Option.iter Domain.join d
 
 let stats t = locked t (fun () -> t.s_stats)
 

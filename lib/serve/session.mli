@@ -28,17 +28,6 @@
     a member expiring mid-dispatch is degraded per policy, and the
     remainder re-buckets (partial final buckets are normal).
 
-    {2 Sharding}
-
-    When the queue holds more than two full dispatch rounds and
-    [config.shards] allows, the session spawns additional dispatcher
-    domains.  Each extra shard owns {e private, uncached} engines
-    ([Engine.prepare ~cache:false]) — sharing one cached engine would
-    only serialize on its run mutex, and private builds leave the
-    compile-cache hit/miss counters untouched, so the warm-miss-0
-    invariant stays meaningful.  Scale-out decisions are journaled at
-    site [serve.shards].
-
     Concurrency model:
 
     - any number of producer domains may [submit] / [await] concurrently;
@@ -46,9 +35,10 @@
       (capacity [config.queue_capacity]) is full it returns
       [Error Error.Overloaded] immediately — callers decide whether to
       retry, degrade or propagate;
-    - each dispatcher shard drains the queue in same-shape runs (the
-      head request plus queued requests with the same input-shape
-      signature, up to [max config.max_batch (largest bucket)]);
+    - the one dispatcher domain drains the queue in same-shape runs
+      (the head request plus queued requests with the same input-shape
+      signature, up to the largest compiled bucket — 1 for a workload
+      served without batching);
     - the engine itself may parallelize each run across the shared
       domain pool exactly as in direct [Engine.run] use.
 
@@ -69,9 +59,9 @@
     [serve.submit] / [serve.batch] / [serve.bucket_run] spans, with a
     [serve.req] flow arrow (keyed by ticket id) linking each producer's
     submit span to the dispatcher batch span that served it.  Decision
-    journal: deadline degradations (site [serve]), bucket-chooser pins
-    and flips (site [serve.bucket]), shard scale-outs
-    (site [serve.shards]) — all replayable via [functs why]. *)
+    journal: deadline degradations (site [serve]) and bucket-chooser
+    pins and flips (site [serve.bucket]) — all replayable via
+    [functs why]. *)
 
 open Functs_interp
 open Functs_core
@@ -160,8 +150,8 @@ val pause : t -> unit
 val resume : t -> unit
 
 val close : t -> unit
-(** Stop accepting submits, let every dispatcher shard drain the queued
-    requests, then join them all.  Idempotent; safe from any domain. *)
+(** Stop accepting submits, let the dispatcher drain the queued
+    requests, then join it.  Idempotent; safe from any domain. *)
 
 type stats = {
   submitted : int;
@@ -176,7 +166,6 @@ type stats = {
   bucket_runs : (int * int) list;
       (** occupancy → runs at that occupancy, e.g. [[(16, 12); (4, 3)]];
           ad-hoc-shape runs count at their group size *)
-  shards : int;  (** dispatcher domains running (≥ 1) *)
   max_queue_depth : int;
 }
 

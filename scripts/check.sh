@@ -245,6 +245,24 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
+# The README configuration table documents exactly the variables
+# Config.of_env recognises: a knob added, renamed or retired on one side
+# only fails here.  The recognised names are the quoted FUNCTS_* keys in
+# the body of of_env (the retired ones are listed above it).
+echo "== config gate: README table matches Config.of_env =="
+sed -n '/^let of_env/,/^(\* --- apply/p' lib/serve/config.ml \
+  | grep -o '"FUNCTS_[A-Z_]*"' | tr -d '"' | sort > /tmp/functs_env_code.txt
+grep -o '^| `FUNCTS_[A-Z_]*`' README.md | tr -d '|` ' | sort \
+  > /tmp/functs_env_readme.txt
+test -s /tmp/functs_env_code.txt || {
+  echo "error: found no FUNCTS_* variables in Config.of_env" >&2
+  exit 1
+}
+diff /tmp/functs_env_code.txt /tmp/functs_env_readme.txt || {
+  echo "error: the README configuration table (>) and Config.of_env (<) disagree" >&2
+  exit 1
+}
+
 # Kernel launches only exist on the native lane, so the smoke arms it.
 echo "== trace smoke (FUNCTS_JIT=auto run lstm --engine=exec --trace) =="
 rm -f /tmp/functs_trace.json

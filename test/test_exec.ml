@@ -522,6 +522,7 @@ let test_cache_shape_miss () =
        (Engine.run e2 (args [| 9; 3 |] 9)))
 
 let test_cache_eviction () =
+  let capacity = Engine.cache_capacity () in
   Engine.set_cache_capacity 2;
   Engine.clear_cache ();
   Compiler_profile.reset_compile_cache ();
@@ -536,10 +537,10 @@ let test_cache_eviction () =
   in
   List.iter prep [ 3; 4; 5; 6 ];
   let _, misses, evictions = cache_counters () in
-  Engine.set_cache_capacity Functs.Config.default.Functs.Config.cache_size;
+  Engine.set_cache_capacity capacity;
   check_int "four distinct shapes all miss" 4 misses;
   check_int "capacity 2 evicts the two oldest" 2 evictions;
-  check "residency is bounded by capacity" true (Engine.cache_size () <= 2);
+  check "residency is bounded by capacity" true (Engine.cache_entries () <= 2);
   Engine.clear_cache ()
 
 let test_donation_loop () =

@@ -184,8 +184,9 @@ let test_c_differential () =
     check "no C compiler: C fallbacks were recorded" true (fallbacks () > fb0)
   end
 
-(* --- bitwise edge table: Float.max/min/equal, `Max reductions and NaN
-   literals over NaN payloads, signed zeros and infinities --- *)
+(* --- bitwise edge tables: Float.max/min/equal, `Max reductions, NaN
+   literals, and add/mul of two NaNs with distinct payloads, over NaN
+   payloads, signed zeros and infinities --- *)
 
 let edge_values =
   [|
@@ -199,34 +200,24 @@ let edge_values =
     1.5;
   |]
 
-let test_float_edges () =
+(* Run one table: a graph of [x] and [y] built by [outputs], over every
+   (x, y) edge pair — x varies along rows, y along columns — compiled
+   natively and compared bit for bit against the interpreter.  The table
+   repeats twice in each direction so rows are long enough for the
+   kernels' vectorised loops. *)
+let edge_table name outputs =
   let n = Array.length edge_values in
-  let lit = Int64.float_of_bits 0x7ff80000deadbeefL in
   let b =
-    Builder.create "float_edges"
-      ~params:[ ("x", Dtype.Tensor); ("y", Dtype.Tensor) ]
+    Builder.create name ~params:[ ("x", Dtype.Tensor); ("y", Dtype.Tensor) ]
   in
-  let x = Builder.param b 0 and y = Builder.param b 1 in
-  let bin op u v = Builder.binary b op u v in
-  Builder.return b
-    [
-      bin Scalar.Max x y;
-      bin Scalar.Min x y;
-      bin Scalar.Eq x y;
-      Builder.relu b x;
-      bin Scalar.Max x (Builder.float b lit);
-      bin Scalar.Min (Builder.float b lit) y;
-      bin Scalar.Eq x (Builder.float b lit);
-      Builder.max_dim b x ~dim:1 ~keepdim:false;
-      Builder.max_dim b y ~dim:1 ~keepdim:false;
-    ];
+  Builder.return b (outputs b (Builder.param b 0) (Builder.param b 1));
   let g = Builder.graph b in
-  (* every (x, y) pair: x varies along rows, y along columns *)
+  let m = 2 * n in
   let grid f =
-    let t = Tensor.zeros [| n; n |] in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        Tensor.set t [| i; j |] (f i j)
+    let t = Tensor.zeros [| m; m |] in
+    for i = 0 to m - 1 do
+      for j = 0 to m - 1 do
+        Tensor.set t [| i; j |] (f (i mod n) (j mod n))
       done
     done;
     Value.Tensor t
@@ -238,7 +229,7 @@ let test_float_edges () =
   let fg = Graph.clone g in
   ignore (Passes.tensorssa_pipeline fg);
   let kernels, shapes = kernels_of fg (args ()) in
-  check "the table fuses into kernels" true (kernels <> []);
+  check (name ^ ": the table fuses into kernels") true (kernels <> []);
   List.iter
     (fun (k : Codegen.kernel) ->
       match Kernel_compile.compile k ~shapes with
@@ -257,11 +248,42 @@ let test_float_edges () =
     List.iteri
       (fun i (e, g) ->
         check
-          (Printf.sprintf "output %d bitwise-equal to the interpreter" i)
+          (Printf.sprintf "%s output %d bitwise-equal to the interpreter" name
+             i)
           true
           (bitwise [ e ] [ g ]))
       (List.combine expected got)
   end
+
+let test_float_edges () =
+  let lit = Int64.float_of_bits 0x7ff80000deadbeefL in
+  edge_table "float_edges" (fun b x y ->
+      let bin op u v = Builder.binary b op u v in
+      [
+        bin Scalar.Max x y;
+        bin Scalar.Min x y;
+        bin Scalar.Eq x y;
+        Builder.relu b x;
+        bin Scalar.Max x (Builder.float b lit);
+        bin Scalar.Min (Builder.float b lit) y;
+        bin Scalar.Eq x (Builder.float b lit);
+        Builder.max_dim b x ~dim:1 ~keepdim:false;
+        Builder.max_dim b y ~dim:1 ~keepdim:false;
+      ]);
+  (* both operands NaN with distinct payloads: OCaml's [x +. y] and
+     [x *. y] return the first operand's, which plain C [+]/[*] does not
+     promise once GCC commutes them in a vectorised loop *)
+  edge_table "nan_order" (fun b x y ->
+      let bin op u v = Builder.binary b op u v in
+      [
+        bin Scalar.Add x y;
+        bin Scalar.Mul x y;
+        bin Scalar.Add y x;
+        bin Scalar.Mul y x;
+        (* a computed first operand, not a plain read *)
+        bin Scalar.Add (bin Scalar.Sub x y) y;
+        bin Scalar.Mul (bin Scalar.Div x y) y;
+      ])
 
 (* --- forced fallback: missing toolchain --- *)
 

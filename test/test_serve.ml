@@ -3,9 +3,9 @@
    (any arrival mix decomposes into buckets whose per-request outputs are
    bitwise-equal to batch-1 interpreter runs, including partial final
    buckets and mid-bucket deadline expiry), the ticket API (poll /
-   cancel), shard scale-out, deadline expiry under both degradation
-   policies, backpressure on a size-1 queue, and the strict
-   Config.of_env validation. *)
+   cancel), deadline expiry under both degradation policies,
+   backpressure on a size-1 queue, and the strict Config.of_env
+   validation (retired variables included). *)
 
 open Functs
 
@@ -71,7 +71,7 @@ let submits = 64
 let stress_deadline_s = 30.0
 
 let test_stress () =
-  let config = { Config.default with Config.domains = 2; max_batch = 4 } in
+  let config = { Config.default with Config.domains = 2 } in
   with_session ~config (fun s ->
       let inputs = Array.init producers perturbed_args in
       let expected = Array.map expected_for inputs in
@@ -256,36 +256,6 @@ let test_poll_cancel () =
         st.Session.submitted
         (st.Session.completed + st.Session.cancelled))
 
-(* --- shard scale-out under queue pressure --- *)
-
-let test_shards () =
-  let config =
-    {
-      Config.default with
-      Config.max_batch = 1;
-      batch_buckets = [ 1 ];
-      shards = 2;
-    }
-  in
-  with_session ~config (fun s ->
-      let args = Array.init 32 (fun i -> perturbed_args i) in
-      let expected = Array.map expected_for args in
-      let tickets =
-        Array.map (fun a -> submit_ok s (Session.input a)) args
-      in
-      Array.iteri
-        (fun i tk ->
-          match Session.await tk with
-          | Ok got ->
-              check "sharded dispatch routes every response correctly" true
-                (matches expected.(i) got)
-          | Error e -> Alcotest.fail (Error.to_string e))
-        tickets;
-      let st = Session.stats s in
-      check_int "queue pressure spun up the second shard" 2 st.Session.shards;
-      check_int "no lost submissions across shards" 32 st.Session.submitted;
-      check_int "every request completed exactly once" 32 st.Session.completed)
-
 (* --- deadlines --- *)
 
 (* Pause the dispatcher so the deadline is provably expired before
@@ -402,40 +372,30 @@ let test_of_env_overlay () =
   let env =
     [
       ("FUNCTS_DOMAINS", "3");
-      ("FUNCTS_GRAIN", "5");
-      ("FUNCTS_KERNEL_GRAIN", "1024");
-      ("FUNCTS_CACHE", "off");
-      ("FUNCTS_CACHE_SIZE", "7");
+      ("FUNCTS_JIT", "auto");
+      ("FUNCTS_JIT_DIR", "/tmp/functs-jit");
+      ("FUNCTS_JIT_CC", "gcc");
       ("FUNCTS_TRACE", "/tmp/t.json");
-      ("FUNCTS_TRACE_BUF", "512");
       ("FUNCTS_METRICS", "stderr");
       ("FUNCTS_QUEUE", "9");
-      ("FUNCTS_MAX_BATCH", "2");
       ("FUNCTS_BATCH_BUCKETS", "1,2,8");
-      ("FUNCTS_SHARDS", "3");
       ("FUNCTS_POLICY", "shed");
       ("FUNCTS_JOURNAL", "off");
-      ("FUNCTS_JOURNAL_BUF", "128");
     ]
   in
   match Config.of_env ~getenv:(getenv_of env) () with
   | Error e -> Alcotest.fail (Error.to_string e)
   | Ok cfg ->
       check_int "domains" 3 cfg.Config.domains;
-      check_int "loop grain" 5 cfg.Config.loop_grain;
-      check_int "kernel grain" 1024 cfg.Config.kernel_grain;
-      check "cache off" false cfg.Config.cache;
-      check_int "cache size" 7 cfg.Config.cache_size;
+      check "jit auto" true (cfg.Config.jit = Jit.Auto);
+      Alcotest.(check string) "jit dir" "/tmp/functs-jit" cfg.Config.jit_dir;
+      Alcotest.(check string) "jit cc" "gcc" cfg.Config.jit_cc;
       check "trace file" true (cfg.Config.trace = Config.Trace_file "/tmp/t.json");
-      check_int "trace buf" 512 cfg.Config.trace_buf;
       check "metrics stderr" true (cfg.Config.metrics = Config.Metrics_stderr);
       check_int "queue capacity" 9 cfg.Config.queue_capacity;
-      check_int "max batch" 2 cfg.Config.max_batch;
       check "batch buckets" true (cfg.Config.batch_buckets = [ 1; 2; 8 ]);
-      check_int "shards" 3 cfg.Config.shards;
       check "policy shed" true (cfg.Config.policy = `Shed);
-      check "journal off" false cfg.Config.journal;
-      check_int "journal buf" 128 cfg.Config.journal_buf
+      check "journal off" false cfg.Config.journal
 
 let rejects env key =
   match Config.of_env ~getenv:(getenv_of env) () with
@@ -447,20 +407,44 @@ let rejects env key =
 let test_of_env_rejects_malformed () =
   rejects [ ("FUNCTS_DOMAINS", "many") ] "FUNCTS_DOMAINS";
   rejects [ ("FUNCTS_DOMAINS", "0") ] "FUNCTS_DOMAINS";
-  rejects [ ("FUNCTS_CACHE", "maybe") ] "FUNCTS_CACHE";
-  rejects [ ("FUNCTS_TRACE_BUF", "8") ] "FUNCTS_TRACE_BUF";
   rejects [ ("FUNCTS_POLICY", "retry") ] "FUNCTS_POLICY";
   rejects [ ("FUNCTS_QUEUE", "-1") ] "FUNCTS_QUEUE";
   rejects [ ("FUNCTS_JOURNAL", "maybe") ] "FUNCTS_JOURNAL";
-  rejects [ ("FUNCTS_JOURNAL_BUF", "8") ] "FUNCTS_JOURNAL_BUF";
   (* the JIT modes are off and auto; "on" is not one of them *)
   rejects [ ("FUNCTS_JIT", "on") ] "FUNCTS_JIT";
   (* bucket lists: must parse, start at 1, and be strictly ascending *)
   rejects [ ("FUNCTS_BATCH_BUCKETS", "4,16") ] "FUNCTS_BATCH_BUCKETS";
   rejects [ ("FUNCTS_BATCH_BUCKETS", "1,16,4") ] "FUNCTS_BATCH_BUCKETS";
   rejects [ ("FUNCTS_BATCH_BUCKETS", "1,4,4") ] "FUNCTS_BATCH_BUCKETS";
-  rejects [ ("FUNCTS_BATCH_BUCKETS", "1,x") ] "FUNCTS_BATCH_BUCKETS";
-  rejects [ ("FUNCTS_SHARDS", "0") ] "FUNCTS_SHARDS"
+  rejects [ ("FUNCTS_BATCH_BUCKETS", "1,x") ] "FUNCTS_BATCH_BUCKETS"
+
+(* Each retired variable, set to a value its old parser accepted (the
+   old default), is an error whose reason says what replaced it; set
+   empty it stays "unset", like every other variable. *)
+let test_of_env_rejects_retired () =
+  List.iter
+    (fun (key, value) ->
+      (match Config.of_env ~getenv:(getenv_of [ (key, value) ]) () with
+      | Error (Error.Invalid_config { key = k; reason; _ }) ->
+          Alcotest.(check string) "rejected variable" key k;
+          check (key ^ ": the reason says it is retired") true
+            (String.starts_with ~prefix:"retired: " reason)
+      | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
+      | Ok _ -> Alcotest.failf "retired %s must be rejected" key);
+      match Config.of_env ~getenv:(getenv_of [ (key, "") ]) () with
+      | Ok cfg -> check (key ^ " empty means unset") true (cfg = Config.default)
+      | Error e -> Alcotest.fail (Error.to_string e))
+    [
+      ("FUNCTS_GRAIN", "2");
+      ("FUNCTS_KERNEL_GRAIN", "8192");
+      ("FUNCTS_CHUNK_BYTES", "0");
+      ("FUNCTS_CACHE", "on");
+      ("FUNCTS_CACHE_SIZE", "32");
+      ("FUNCTS_MAX_BATCH", "8");
+      ("FUNCTS_SHARDS", "1");
+      ("FUNCTS_TRACE_BUF", "65536");
+      ("FUNCTS_JOURNAL_BUF", "4096");
+    ]
 
 let test_of_env_empty_means_unset () =
   match Config.of_env ~getenv:(getenv_of [ ("FUNCTS_DOMAINS", "") ]) () with
@@ -496,6 +480,8 @@ let () =
           Alcotest.test_case "overlay" `Quick test_of_env_overlay;
           Alcotest.test_case "rejects malformed" `Quick
             test_of_env_rejects_malformed;
+          Alcotest.test_case "rejects retired variables" `Quick
+            test_of_env_rejects_retired;
           Alcotest.test_case "empty means unset" `Quick
             test_of_env_empty_means_unset;
           Alcotest.test_case "error strings" `Quick test_error_strings;
@@ -508,7 +494,6 @@ let () =
           Alcotest.test_case "mid-bucket deadline expiry" `Quick
             test_bucket_mid_expiry;
           Alcotest.test_case "poll and cancel" `Quick test_poll_cancel;
-          Alcotest.test_case "shard scale-out" `Quick test_shards;
           Alcotest.test_case "deadline: interp fallback" `Quick
             test_deadline_interp_fallback;
           Alcotest.test_case "deadline: shed" `Quick test_deadline_shed;
